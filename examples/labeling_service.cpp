@@ -80,7 +80,9 @@ int main() {
               static_cast<unsigned long long>(stats.reduction_misses));
   std::printf("engine solves: %llu for %zu requests\n",
               static_cast<unsigned long long>(solver.engine_solves()), requests.size() + 1);
-  std::printf("learned preference for n=%d: %s\n", network.n(),
-              engine_name(solver.portfolio().preferred_engine(network.n())).c_str());
+  const TunerScores scores = solver.tuner().scores();
+  const auto bucket = static_cast<std::size_t>(obs::size_bucket(network.n()));
+  std::printf("learned win scores for n=%d: exact %.2f, heuristic %.2f\n", network.n(),
+              scores.exact[bucket], scores.heuristic[bucket]);
   return 0;
 }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -31,6 +33,16 @@
 /// only *registered* into the registry, and names are a contract
 /// (documented in README "Profiling & SLO").
 namespace lptsp::obs {
+
+/// Instance sizes are grouped into buckets of bit_width(n), capped at the
+/// last bucket. The engine tuner's scores, the portfolio's effort lookup
+/// and KeyProfileTable all index by this one function.
+inline constexpr int kSizeBuckets = 32;
+
+[[nodiscard]] constexpr int size_bucket(int n) noexcept {
+  return std::min(static_cast<int>(std::bit_width(static_cast<unsigned>(std::max(1, n)))),
+                  kSizeBuckets - 1);
+}
 
 /// Fixed-point "%.2f" without locale-sensitive formatting: the profile
 /// JSON is a machine contract, so the decimal point must be a '.'
@@ -121,7 +133,7 @@ class KeyProfileTable {
   struct Entry {
     std::uint64_t key_hash = 0;       ///< CanonicalForm::hash
     int n = 0;                        ///< vertex count of the canonical graph
-    int size_bucket = 0;              ///< bit_width(n), the portfolio's bucketing
+    int size_bucket = 0;              ///< size_bucket(n)
     std::uint64_t solves = 0;         ///< engine races attributed to this key
     std::uint64_t engine_ns = 0;      ///< total race wall time attributed
     std::uint64_t last_engine_ns = 0; ///< most recent single race wall time
@@ -157,7 +169,7 @@ class KeyProfileTable {
   [[nodiscard]] std::vector<Entry> top(std::size_t k) const;
 
   /// Mean attributed race cost per solve across the tracked keys in
-  /// `size_bucket` (bit_width(n)), 0 when no tracked key has that bucket.
+  /// `size_bucket` (size_bucket(n)), 0 when no tracked key has that bucket.
   /// This is the admission predictor's hot-key signal: under Zipf-repeat
   /// traffic the tracked keys ARE the traffic, so their mean is a better
   /// per-request cost estimate than a global average.

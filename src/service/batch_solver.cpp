@@ -63,23 +63,16 @@ BatchSolver::BatchSolver(const Options& options)
     LPTSP_REQUIRE(backend_ != nullptr, "cannot open durable store: " + error);
     // With the cache disabled, results are neither written through nor
     // served, so skip attaching and the per-record re-verification of a
-    // warm load — the store still carries the win table (engine-choice
-    // learning is independent of result caching).
+    // warm load — the store still carries the tuner's scores
+    // (engine-choice learning is independent of result caching).
     if (options_.use_cache) {
       cache_.attach_backend(backend_);
       warm_stats_ = cache_.warm_from_disk();
     }
-    if (const auto table = backend_->load_win_table()) {
-      if (table->buckets == EnginePortfolio::kBuckets && table->slots == EnginePortfolio::kSlots) {
-        portfolio_.merge_win_table(table->counts);
-        // Seed the tuner's decayed scores from the same history (capped):
-        // the pre-trim resumes where the last process left off, but —
-        // unlike the raw cumulative counts — the seed decays away, so a
-        // heuristic-heavy table biases the first decisions without ever
-        // freezing the exact engine out (the re-probe regression).
-        tuner_.seed_from_win_table(table->counts, EnginePortfolio::kSlots);
-      }
-    }
+    // Resume the pre-trim where the last process left off. The seed is
+    // capped and decays away, so a heuristic-heavy record biases the
+    // first decisions without ever freezing the exact engine out.
+    if (const auto scores = backend_->load_tuner_scores()) tuner_.seed(*scores);
   }
   register_metrics();
 }
@@ -122,22 +115,18 @@ void BatchSolver::register_metrics() {
 
 BatchSolver::~BatchSolver() {
   // Drain in-flight requests BEFORE checkpointing: a race finishing during
-  // shutdown still records its win, and with the pool quiesced the
-  // checkpoint captures every count. (Member destruction then re-drains a
+  // shutdown still teaches the tuner, and with the pool quiesced the
+  // checkpoint captures every score. (Member destruction then re-drains a
   // by-now-empty pool — request_pool_ is declared last for that reason.)
   if (backend_ != nullptr) {
     request_pool_.drain();
-    checkpoint_win_table();
+    checkpoint_tuner();
   }
 }
 
-void BatchSolver::checkpoint_win_table() {
-  if (backend_ == nullptr) return;
-  WinTableRecord record;
-  record.buckets = EnginePortfolio::kBuckets;
-  record.slots = EnginePortfolio::kSlots;
-  record.counts = portfolio_.win_table();
-  backend_->put_win_table(record);
+void BatchSolver::checkpoint_tuner() {
+  if (backend_ == nullptr || !tuner_.enabled()) return;
+  backend_->put_tuner_scores(tuner_.scores());
 }
 
 BatchSolver::CanonicalOutcome BatchSolver::solve_canonical(

@@ -71,17 +71,18 @@ class BatchSolver {
     std::uint64_t max_pending_work_ns = 0;
     /// The learning layer (see src/service/tuner.hpp): decayed exact-skip
     /// pre-trim with re-probe, per-bucket effort tuning, and the
-    /// admission cost predictor. tuner.enabled = false reverts the
-    /// portfolio to its static built-in policies.
+    /// admission cost predictor. tuner.enabled = false: every race
+    /// launches the exact engine at fixed effort.
     TunerOptions tuner;
     /// Durable store file (see src/store/): when non-empty, verified solve
     /// results are written through to this append-only log, reloaded and
     /// re-verified on the next start (a restart keeps its hit ratio), and
-    /// the portfolio win table is checkpointed across runs. Created if
+    /// the tuner's learned scores are checkpointed across runs. Created if
     /// absent; opening an existing file with a corrupt header throws
     /// precondition_error (torn tails and bad records are repaired/skipped
     /// silently — they are expected crash debris). With use_cache false
-    /// only the win table is persisted (results would never be served).
+    /// only the tuner's scores are persisted (results would never be
+    /// served).
     std::string store_path;
     /// fsync the store after every persisted result. Off by default:
     /// results are re-derivable, so the OS page-cache durability window is
@@ -118,7 +119,7 @@ class BatchSolver {
   BatchSolver() : BatchSolver(Options{}) {}
   explicit BatchSolver(const Options& options);
 
-  /// Checkpoints the portfolio win table to the durable store (when one is
+  /// Checkpoints the tuner's scores to the durable store (when one is
   /// configured) before tearing the pipeline down.
   ~BatchSolver();
 
@@ -210,9 +211,10 @@ class BatchSolver {
     return backend_;
   }
 
-  /// Persist the portfolio win table now (also done on destruction). Safe
-  /// to call while traffic is in flight; no-op without a store.
-  void checkpoint_win_table();
+  /// Persist the tuner's scores now (also done on destruction). Safe to
+  /// call while traffic is in flight; no-op without a store or with the
+  /// tuner disabled (its zeros would erase what an enabled run learned).
+  void checkpoint_tuner();
 
  private:
   /// Result of solving one canonical instance, shareable across all

@@ -1,7 +1,6 @@
 #include "service/tuner.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "obs/journal.hpp"
 
@@ -12,10 +11,6 @@ namespace {
 /// Decayed-score floor below which the exact engine counts as "never wins
 /// here": one win decays under it only after several decay windows.
 constexpr double kExactPresenceFloor = 0.5;
-
-/// Seeded scores are capped at this many skip_scores: enough to carry a
-/// verdict across a restart, small enough to decay away quickly.
-constexpr double kSeedCapFactor = 4.0;
 
 /// Minimum admission price: even a certain cache hit costs queue slots.
 constexpr std::uint64_t kMinPredictedNs = 1'000;
@@ -40,7 +35,7 @@ EngineTuner::EngineTuner(const TunerOptions& options, std::chrono::milliseconds 
 }
 
 int EngineTuner::clamp_bucket(int bucket) noexcept {
-  return std::clamp(bucket, 0, kBuckets - 1);
+  return std::clamp(bucket, 0, obs::kSizeBuckets - 1);
 }
 
 bool EngineTuner::trimmed_now(const Bucket& bucket) const noexcept {
@@ -48,20 +43,24 @@ bool EngineTuner::trimmed_now(const Bucket& bucket) const noexcept {
          bucket.heuristic_score >= options_.skip_score;
 }
 
-void EngineTuner::seed_from_win_table(const std::vector<std::uint64_t>& counts, int slots) {
-  if (!options_.enabled || slots < 3) return;
-  if (counts.size() != static_cast<std::size_t>(kBuckets) * static_cast<std::size_t>(slots)) {
-    return;
-  }
+void EngineTuner::seed(const TunerScores& scores) {
+  if (!options_.enabled) return;
   const double cap = options_.skip_score * kSeedCapFactor;
   const std::lock_guard lock(mutex_);
-  for (int b = 0; b < kBuckets; ++b) {
-    const auto base = static_cast<std::size_t>(b) * static_cast<std::size_t>(slots);
-    const double exact = static_cast<double>(counts[base] + counts[base + 1]);
-    const double heuristic = static_cast<double>(counts[base + 2]);
-    buckets_[static_cast<std::size_t>(b)].exact_score = std::min(exact, cap);
-    buckets_[static_cast<std::size_t>(b)].heuristic_score = std::min(heuristic, cap);
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    buckets_[b].exact_score = std::min(scores.exact[b], cap);
+    buckets_[b].heuristic_score = std::min(scores.heuristic[b], cap);
   }
+}
+
+TunerScores EngineTuner::scores() const {
+  TunerScores scores;
+  const std::lock_guard lock(mutex_);
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    scores.exact[b] = buckets_[b].exact_score;
+    scores.heuristic[b] = buckets_[b].heuristic_score;
+  }
+  return scores;
 }
 
 bool EngineTuner::admit_exact(int bucket) {
@@ -175,8 +174,7 @@ EffortPolicy EngineTuner::effort(int bucket) const {
 }
 
 std::uint64_t EngineTuner::predicted_work_ns(int n, std::int64_t deadline_ms) const {
-  const auto index = static_cast<std::size_t>(
-      clamp_bucket(static_cast<int>(std::bit_width(static_cast<unsigned>(std::max(1, n))))));
+  const auto index = static_cast<std::size_t>(obs::size_bucket(n));
   std::uint64_t estimate = 0;
   const obs::HistogramSnapshot snap = race_ns_[index].snapshot();
   if (snap.count >= kMinPredictorSamples) {
@@ -214,7 +212,7 @@ std::string EngineTuner::to_json() const {
   out += ",\"effort_changes\":" + std::to_string(effort_changes_.value());
   out += ",\"buckets\":[";
   bool first = true;
-  for (int b = 0; b < kBuckets; ++b) {
+  for (int b = 0; b < obs::kSizeBuckets; ++b) {
     const auto index = static_cast<std::size_t>(b);
     double exact_score = 0;
     double heuristic_score = 0;

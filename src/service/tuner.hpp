@@ -6,21 +6,22 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 
-/// The learning layer over the portfolio's win table and the profile
-/// plumbing (PR 9's named contract). Three policies, all fed from signals
-/// the service already collects:
+/// The engine-choice learner: the one owner of the state that decides,
+/// per instance-size bucket, whether a race launches the exact engine and
+/// how hard each engine works. Three policies, all fed from signals the
+/// service already collects:
 ///
-///   - Pre-trim with re-probe: replaces the frozen "skip the exact engine
-///     after 8 heuristic wins" rule with decayed per-bucket win scores —
-///     evidence ages out instead of accumulating forever — plus an epsilon
-///     re-probe: every Nth otherwise-skipped race still launches the exact
-///     engine. A heuristic-heavy persisted win table can bias the learner
-///     but can never freeze it.
+///   - Pre-trim with re-probe: decayed per-bucket contested-win scores
+///     for the exact engines and the heuristic — evidence ages out
+///     instead of accumulating forever — trim the exact engine where the
+///     heuristic dominates, plus an epsilon re-probe: every Nth
+///     otherwise-skipped race still launches the exact engine. The scores
+///     are what the durable store persists; a heuristic-heavy persisted
+///     record can bias the learner but can never freeze it.
 ///   - Effort tuning: per-bucket effort percentage derived from observed
 ///     deadline hit/miss windows and slack, applied by the portfolio to
 ///     ChainedLK kick counts, BranchBound node budgets, and the Held-Karp
@@ -31,11 +32,13 @@
 ///     hot-key stats, so BatchSolver can admit against predicted pending
 ///     work (nanoseconds) instead of request count and overload rejects
 ///     expensive requests first instead of starving cheap traffic.
+///
+/// Buckets are obs::size_bucket(n).
 namespace lptsp {
 
 struct TunerOptions {
   /// Master switch: disabled, admit_exact always launches the exact
-  /// engine's slot per the static rules and effort stays at 100%.
+  /// engine and effort stays at 100%.
   bool enabled = true;
 
   // --- pre-trim with re-probe ---
@@ -68,6 +71,13 @@ struct TunerOptions {
   double admission_quantile = 0.90;
 };
 
+/// The learned engine-choice state as persisted: per size bucket, the
+/// decayed contested-win scores of the exact engines and of the heuristic.
+struct TunerScores {
+  std::array<double, obs::kSizeBuckets> exact{};
+  std::array<double, obs::kSizeBuckets> heuristic{};
+};
+
 /// What the portfolio applies to one race, resolved per size bucket.
 struct EffortPolicy {
   /// Scales ChainedLK kicks and the BranchBound node budget.
@@ -79,10 +89,10 @@ struct EffortPolicy {
 
 class EngineTuner {
  public:
-  /// Must match EnginePortfolio::kBuckets (asserted in portfolio.cpp);
-  /// duplicated here so this header does not depend on the portfolio's.
-  static constexpr int kBuckets = 32;
   static constexpr double kBaseHkOverrunFactor = 4.0;
+  /// Seeded scores are capped at this many skip_scores: enough to carry a
+  /// verdict across a restart, small enough to decay away quickly.
+  static constexpr double kSeedCapFactor = 4.0;
 
   EngineTuner() : EngineTuner(TunerOptions{}, std::chrono::milliseconds{250}) {}
   /// `default_deadline` prices requests that carry no deadline of their
@@ -101,22 +111,23 @@ class EngineTuner {
     key_profile_ = profile;
   }
 
-  /// Seed the decayed scores from a persisted portfolio win table
-  /// (bucket-major kBuckets x `slots` flat counters, slots ordered
-  /// HeldKarp/BranchBound/ChainedLK). Counts are capped at a few
-  /// skip_scores so stale history biases the first decisions but decays
-  /// away within a couple of windows. Wrong-shape inputs are ignored.
-  void seed_from_win_table(const std::vector<std::uint64_t>& counts, int slots);
+  /// Restore persisted scores (a no-op when disabled). Each score is
+  /// capped at a few skip_scores so stale history biases the first
+  /// decisions but decays away within a couple of windows.
+  void seed(const TunerScores& scores);
+
+  /// The current decayed scores — what the durable store checkpoints.
+  [[nodiscard]] TunerScores scores() const;
 
   /// Pre-trim decision for one race at `bucket`: true = launch the exact
   /// engine (either the bucket is not trimmed, or this race is the
   /// epsilon re-probe). Emits TunerPretrim on trim-state flips.
   [[nodiscard]] bool admit_exact(int bucket);
 
-  /// Feed one finished race back. `contested` mirrors the win table's
-  /// rule (>= 2 verified attempts); only contested races move the win
-  /// scores, but every race feeds the latency predictor and — when
-  /// deadline-bounded — the effort window.
+  /// Feed one finished race back. `contested` means at least two
+  /// attempts verified; only contested races move the win scores, but
+  /// every race feeds the latency predictor and — when deadline-bounded —
+  /// the effort window.
   void observe_race(int bucket, bool exact_won, bool contested, std::uint64_t race_ns,
                     std::int64_t deadline_ms);
 
@@ -168,11 +179,11 @@ class EngineTuner {
   /// engine race (milliseconds apart), so contention is negligible — and
   /// the race-path reads (effort, prediction) never take it.
   mutable std::mutex mutex_;
-  std::array<Bucket, kBuckets> buckets_;
+  std::array<Bucket, obs::kSizeBuckets> buckets_;
 
   /// Lock-free views of the learned policy, written under mutex_.
-  std::array<std::atomic<int>, kBuckets> effort_percent_;
-  std::array<obs::LatencyHistogram, kBuckets> race_ns_;
+  std::array<std::atomic<int>, obs::kSizeBuckets> effort_percent_;
+  std::array<obs::LatencyHistogram, obs::kSizeBuckets> race_ns_;
 
   obs::Counter reprobes_;        ///< trimmed races that launched exact anyway
   obs::Counter pretrim_skips_;   ///< races that skipped the exact engine

@@ -1,5 +1,8 @@
 #include "store/codec.hpp"
 
+#include <bit>
+#include <cmath>
+
 #include "graph/io.hpp"
 #include "util/endian.hpp"
 
@@ -8,14 +11,13 @@ namespace lptsp {
 namespace {
 
 constexpr std::uint8_t kResultFormatVersion = 1;
-constexpr std::uint8_t kWinTableFormatVersion = 1;
+constexpr std::uint8_t kTunerScoresFormatVersion = 1;
 
 /// Engines are persisted as their enum value; anything beyond the last
 /// enumerator is a corrupt or future record.
 constexpr std::uint8_t kMaxEngine = static_cast<std::uint8_t>(Engine::BranchBound);
 
-constexpr std::uint32_t kMaxPDimension = 64;        // k far beyond any real request
-constexpr std::uint32_t kMaxWinTableCells = 4096;   // buckets * slots sanity bound
+constexpr std::uint32_t kMaxPDimension = 64;  // k far beyond any real request
 
 using endian::try_get_u32;
 using endian::try_get_u64;
@@ -131,41 +133,43 @@ bool decode_persisted_result(const std::uint8_t* data, std::size_t size,
   return true;
 }
 
-void encode_win_table(std::vector<std::uint8_t>& out, const WinTableRecord& table) {
-  out.push_back(kWinTableFormatVersion);
-  endian::put_u32(out, table.buckets);
-  endian::put_u32(out, table.slots);
-  for (const std::uint64_t count : table.counts) endian::put_u64(out, count);
+void encode_tuner_scores(std::vector<std::uint8_t>& out, const TunerScores& scores) {
+  out.push_back(kTunerScoresFormatVersion);
+  endian::put_u32(out, static_cast<std::uint32_t>(obs::kSizeBuckets));
+  for (std::size_t b = 0; b < scores.exact.size(); ++b) {
+    endian::put_u64(out, std::bit_cast<std::uint64_t>(scores.exact[b]));
+    endian::put_u64(out, std::bit_cast<std::uint64_t>(scores.heuristic[b]));
+  }
 }
 
-bool decode_win_table(const std::uint8_t* data, std::size_t size, WinTableRecord& table,
-                      std::string& error) {
+bool decode_tuner_scores(const std::uint8_t* data, std::size_t size, TunerScores& scores,
+                         std::string& error) {
   std::size_t offset = 0;
   std::uint8_t version = 0;
-  if (!try_get_u8(data, size, offset, version) || version != kWinTableFormatVersion) {
-    error = "win table record: bad version";
+  if (!try_get_u8(data, size, offset, version) || version != kTunerScoresFormatVersion) {
+    error = "tuner scores record: bad version";
     return false;
   }
-  if (!try_get_u32(data, size, offset, table.buckets) ||
-      !try_get_u32(data, size, offset, table.slots)) {
-    error = "win table record: truncated dimensions";
+  std::uint32_t buckets = 0;
+  if (!try_get_u32(data, size, offset, buckets) ||
+      buckets != static_cast<std::uint32_t>(obs::kSizeBuckets)) {
+    error = "tuner scores record: bucket count differs from this build";
     return false;
   }
-  const std::uint64_t cells =
-      static_cast<std::uint64_t>(table.buckets) * static_cast<std::uint64_t>(table.slots);
-  if (cells == 0 || cells > kMaxWinTableCells) {
-    error = "win table record: implausible dimensions";
-    return false;
-  }
-  table.counts.assign(cells, 0);
-  for (std::uint64_t i = 0; i < cells; ++i) {
-    if (!try_get_u64(data, size, offset, table.counts[i])) {
-      error = "win table record: truncated counts";
+  const auto read_score = [&](double& score) {
+    std::uint64_t bits = 0;
+    if (!try_get_u64(data, size, offset, bits)) return false;
+    score = std::bit_cast<double>(bits);
+    return std::isfinite(score) && score >= 0;
+  };
+  for (std::size_t b = 0; b < scores.exact.size(); ++b) {
+    if (!read_score(scores.exact[b]) || !read_score(scores.heuristic[b])) {
+      error = "tuner scores record: truncated or out-of-range score";
       return false;
     }
   }
   if (offset != size) {
-    error = "win table record: trailing bytes";
+    error = "tuner scores record: trailing bytes";
     return false;
   }
   return true;

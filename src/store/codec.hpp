@@ -6,6 +6,7 @@
 
 #include "graph/graph.hpp"
 #include "service/solve_cache.hpp"
+#include "service/tuner.hpp"
 
 namespace lptsp {
 
@@ -51,18 +52,16 @@ void encode_persisted_result(std::vector<std::uint8_t>& out, const Graph& canon,
 [[nodiscard]] bool peek_persisted_result_quality(const std::uint8_t* data, std::size_t size,
                                                  Weight& span, bool& optimal);
 
-/// The engine portfolio's win table as persisted: a flat bucket-major
-/// counter matrix. Dimensions are recorded so a build that resizes the
-/// table simply ignores old records instead of misattributing counts.
-struct WinTableRecord {
-  std::uint32_t buckets = 0;
-  std::uint32_t slots = 0;
-  std::vector<std::uint64_t> counts;  ///< buckets * slots, bucket-major
-};
+/// Append the encoding of the engine tuner's learned scores: u8 version |
+/// u32 bucket count | per bucket f64 exact score, f64 heuristic score
+/// (IEEE-754 bits, little-endian).
+void encode_tuner_scores(std::vector<std::uint8_t>& out, const TunerScores& scores);
 
-void encode_win_table(std::vector<std::uint8_t>& out, const WinTableRecord& table);
-
-[[nodiscard]] bool decode_win_table(const std::uint8_t* data, std::size_t size,
-                                    WinTableRecord& table, std::string& error);
+/// Decode a tuner-scores record. Rejects a bucket count other than this
+/// build's obs::kSizeBuckets (a build that re-buckets must not
+/// misattribute scores) and any negative or non-finite score (the
+/// tuner's seed cap cannot tame a NaN). Never throws.
+[[nodiscard]] bool decode_tuner_scores(const std::uint8_t* data, std::size_t size,
+                                       TunerScores& scores, std::string& error);
 
 }  // namespace lptsp

@@ -139,13 +139,14 @@ void TaskPool::worker_loop() {
       queue_.pop_front();
       ++in_flight_;
     }
-    task();  // packaged_task captures exceptions into the future
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
-    }
+    task();  // retires itself; packaged_task captures exceptions into the future
   }
+}
+
+void TaskPool::retire() noexcept {
+  std::lock_guard lock(mutex_);
+  --in_flight_;
+  if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
 }
 
 TaskPool& TaskPool::shared() {

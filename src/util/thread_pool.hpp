@@ -91,7 +91,9 @@ class TaskPool {
   /// Number of worker threads (>= 1).
   [[nodiscard]] unsigned size() const noexcept { return static_cast<unsigned>(workers_.size()); }
 
-  /// Tasks submitted but not yet finished (approximate, for monitoring).
+  /// Tasks submitted but not yet finished. A task leaves the count before
+  /// its future becomes ready, so a caller holding a ready future never
+  /// still sees that task as pending.
   [[nodiscard]] std::size_t pending() const;
 
   /// Block until every task submitted so far has finished (queue empty and
@@ -106,7 +108,13 @@ class TaskPool {
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    // The guard retires the task as its body returns or throws, before
+    // packaged_task stores the result and readies the future.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(fn)]() mutable -> R {
+          const RetireOnExit retire(*this);
+          return fn();
+        });
     std::future<R> future = task->get_future();
     enqueue([task]() { (*task)(); });
     return future;
@@ -116,7 +124,19 @@ class TaskPool {
   static TaskPool& shared();
 
  private:
+  class RetireOnExit {
+   public:
+    explicit RetireOnExit(TaskPool& pool) noexcept : pool_(pool) {}
+    ~RetireOnExit() { pool_.retire(); }
+    RetireOnExit(const RetireOnExit&) = delete;
+    RetireOnExit& operator=(const RetireOnExit&) = delete;
+
+   private:
+    TaskPool& pool_;
+  };
+
   void enqueue(std::function<void()> task);
+  void retire() noexcept;
   void worker_loop();
 
   std::vector<std::thread> workers_;

@@ -7,6 +7,7 @@
 
 #include "graph/generators.hpp"
 #include "service/batch_solver.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -18,8 +19,9 @@ namespace {
 // queued without bound, never an exception.
 
 SolveRequest slow_request(Rng& rng, std::uint64_t id) {
-  // Unique diameter-2 graphs with a real race deadline: each occupies a
-  // worker for ~deadline, so a rapid burst reliably exceeds the gate.
+  // Unique diameter-2 graphs with a real race deadline. BranchBound can
+  // certify these in microseconds, so a test that needs an admission slot
+  // held stalls the race with the engine.stall fault site.
   SolveRequest request;
   request.graph = random_with_diameter_at_most(40, 2, 0.2, rng);
   request.p = PVec::L21();
@@ -35,6 +37,10 @@ TEST(Backpressure, OverLimitSubmitsResolveImmediatelyWithTypedRejection) {
   BatchSolver solver(options);
 
   Rng rng(3);
+  // Stall the first race so its admission slot is still held while the
+  // rest of the burst arrives (an unstalled solve can finish in
+  // microseconds).
+  fault::arm(FaultSite::EngineStall, 1.0, 3, /*max_fires=*/1, /*param=*/400);
   std::vector<std::future<SolveResponse>> futures;
   for (std::uint64_t id = 1; id <= 6; ++id) {
     futures.push_back(solver.submit(slow_request(rng, id)));
@@ -57,6 +63,7 @@ TEST(Backpressure, OverLimitSubmitsResolveImmediatelyWithTypedRejection) {
   EXPECT_GE(ok, 1u);
   EXPECT_GE(rejected, 1u);
   EXPECT_EQ(solver.rejected_overload(), rejected);
+  fault::disarm(FaultSite::EngineStall);
 }
 
 TEST(Backpressure, SubmitAsyncRejectsInlineBeforeReturning) {
@@ -66,7 +73,10 @@ TEST(Backpressure, SubmitAsyncRejectsInlineBeforeReturning) {
   BatchSolver solver(options);
 
   Rng rng(5);
-  // Occupy the single admission slot.
+  // Occupy the single admission slot. BranchBound can certify an n=40
+  // diameter-2 request in microseconds, so stall its race long enough
+  // that the slot is still held when the second submission arrives.
+  fault::arm(FaultSite::EngineStall, 1.0, 5, /*max_fires=*/1, /*param=*/400);
   std::promise<SolveResponse> first_done;
   solver.submit_async(slow_request(rng, 1),
                       [&first_done](SolveResponse response) {
@@ -88,6 +98,8 @@ TEST(Backpressure, SubmitAsyncRejectsInlineBeforeReturning) {
   const SolveResponse first = first_done.get_future().get();
   EXPECT_TRUE(first.ok()) << first.message;
   EXPECT_EQ(first.id, 1u);
+  EXPECT_EQ(fault::fires(FaultSite::EngineStall), 1u);
+  fault::disarm(FaultSite::EngineStall);
 }
 
 TEST(Backpressure, UnlimitedByDefault) {

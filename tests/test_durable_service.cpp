@@ -2,8 +2,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,8 @@
 #include "graph/operations.hpp"
 #include "service/batch_solver.hpp"
 #include "store/backend.hpp"
+#include "store/codec.hpp"
+#include "util/endian.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -144,24 +148,145 @@ TEST(DurableService, BitFlippedRecordDropsOnlyThatEntry) {
   std::remove(path.c_str());
 }
 
-TEST(DurableService, WinTablePersistsAcrossRestart) {
-  const std::string path = temp_store("wintable");
+TEST(DurableService, TunerScoresPersistAcrossRestart) {
+  const std::string path = temp_store("tunerscores");
   std::remove(path.c_str());
-  std::vector<std::uint64_t> before;
+  TunerScores before;
   {
     BatchSolver solver(durable_options(path));
     for (const Graph& graph : make_graphs(8, 53)) {
       ASSERT_TRUE(solver.solve_one(request_for(graph)).ok());
     }
-    before = solver.portfolio().win_table();
+    before = solver.tuner().scores();
   }
-  std::uint64_t races = 0;
-  for (const std::uint64_t count : before) races += count;
-  ASSERT_GT(races, 0u) << "expected at least one contested race to be recorded";
+  double total = 0;
+  for (std::size_t b = 0; b < before.exact.size(); ++b) {
+    total += before.exact[b] + before.heuristic[b];
+  }
+  ASSERT_GT(total, 0.0) << "expected at least one contested race to be scored";
 
+  // The restart restores exactly what the destructor checkpointed, capped
+  // by the seed rule.
   BatchSolver solver(durable_options(path));
-  EXPECT_EQ(solver.portfolio().win_table(), before);
+  const double cap = solver.tuner().options().skip_score * EngineTuner::kSeedCapFactor;
+  const TunerScores after = solver.tuner().scores();
+  for (std::size_t b = 0; b < before.exact.size(); ++b) {
+    EXPECT_DOUBLE_EQ(after.exact[b], std::min(before.exact[b], cap)) << "bucket " << b;
+    EXPECT_DOUBLE_EQ(after.heuristic[b], std::min(before.heuristic[b], cap)) << "bucket " << b;
+  }
   std::remove(path.c_str());
+}
+
+/// Stores written before the tuner owned engine-choice state hold raw win
+/// counts under namespace 1, key "win-table". They are ignored: learning
+/// starts unseeded.
+TEST(DurableService, LegacyWinCountRecordIsIgnored) {
+  const std::string path = temp_store("legacywins");
+  std::remove(path.c_str());
+  {
+    PersistentBackend::Options options;
+    options.path = path;
+    std::string error;
+    auto backend = PersistentBackend::open(options, error);
+    ASSERT_NE(backend, nullptr) << error;
+    // Version 1, 32 buckets x 3 slots, every count 1000.
+    std::vector<std::uint8_t> bytes{1};
+    endian::put_u32(bytes, 32);
+    endian::put_u32(bytes, 3);
+    for (int i = 0; i < 32 * 3; ++i) endian::put_u64(bytes, 1000);
+    ASSERT_TRUE(backend->kv().put(PersistentBackend::kMetaNamespace, "win-table",
+                                  std::string(bytes.begin(), bytes.end())));
+  }
+  BatchSolver solver(durable_options(path));
+  const TunerScores scores = solver.tuner().scores();
+  for (std::size_t b = 0; b < scores.exact.size(); ++b) {
+    EXPECT_EQ(scores.exact[b], 0.0);
+    EXPECT_EQ(scores.heuristic[b], 0.0);
+  }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The tuner-scores record codec, directly.
+// ---------------------------------------------------------------------------
+
+TunerScores sample_scores() {
+  TunerScores scores;
+  for (std::size_t b = 0; b < scores.exact.size(); ++b) {
+    scores.exact[b] = 0.25 * static_cast<double>(b);
+    scores.heuristic[b] = 1000.5 - static_cast<double>(b);
+  }
+  scores.exact[3] = 1e-300;  // denormal-adjacent values survive bit for bit
+  return scores;
+}
+
+bool decodes(const std::vector<std::uint8_t>& bytes, TunerScores& scores) {
+  std::string error;
+  const bool ok = decode_tuner_scores(bytes.data(), bytes.size(), scores, error);
+  EXPECT_EQ(ok, error.empty()) << error;
+  return ok;
+}
+
+TEST(TunerScoresCodec, RoundTripIsExact) {
+  const TunerScores scores = sample_scores();
+  std::vector<std::uint8_t> bytes;
+  encode_tuner_scores(bytes, scores);
+  EXPECT_EQ(bytes.size(), 1u + 4u + static_cast<std::size_t>(obs::kSizeBuckets) * 16u);
+  TunerScores decoded;
+  ASSERT_TRUE(decodes(bytes, decoded));
+  EXPECT_EQ(decoded.exact, scores.exact);
+  EXPECT_EQ(decoded.heuristic, scores.heuristic);
+}
+
+TEST(TunerScoresCodec, EveryTruncationAndTrailingByteIsRejected) {
+  std::vector<std::uint8_t> bytes;
+  encode_tuner_scores(bytes, sample_scores());
+  for (std::size_t length = 0; length < bytes.size(); ++length) {
+    TunerScores decoded;
+    std::string error;
+    EXPECT_FALSE(decode_tuner_scores(bytes.data(), length, decoded, error)) << length;
+    EXPECT_FALSE(error.empty()) << length;
+  }
+  bytes.push_back(0);
+  TunerScores decoded;
+  EXPECT_FALSE(decodes(bytes, decoded));
+}
+
+TEST(TunerScoresCodec, BadVersionIsRejected) {
+  std::vector<std::uint8_t> bytes;
+  encode_tuner_scores(bytes, sample_scores());
+  for (const std::uint8_t version : {std::uint8_t{0}, std::uint8_t{2}, std::uint8_t{255}}) {
+    bytes[0] = version;
+    TunerScores decoded;
+    EXPECT_FALSE(decodes(bytes, decoded)) << static_cast<int>(version);
+  }
+}
+
+TEST(TunerScoresCodec, WrongBucketCountIsRejected) {
+  for (const std::uint32_t buckets : {0u, 31u, 33u, 64u}) {
+    // A self-consistent record from a build with a different bucketing.
+    std::vector<std::uint8_t> bytes{1};
+    endian::put_u32(bytes, buckets);
+    for (std::uint32_t i = 0; i < 2 * buckets; ++i) endian::put_u64(bytes, 0);
+    TunerScores decoded;
+    EXPECT_FALSE(decodes(bytes, decoded)) << buckets;
+  }
+}
+
+TEST(TunerScoresCodec, NonFiniteAndNegativeScoresAreRejected) {
+  const double poison[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), -1.0, -1e-300};
+  for (const double bad : poison) {
+    for (const bool heuristic : {false, true}) {
+      TunerScores scores = sample_scores();
+      (heuristic ? scores.heuristic : scores.exact)[7] = bad;
+      std::vector<std::uint8_t> bytes;
+      encode_tuner_scores(bytes, scores);
+      TunerScores decoded;
+      EXPECT_FALSE(decodes(bytes, decoded)) << bad << (heuristic ? " heuristic" : " exact");
+    }
+  }
 }
 
 /// Records whose bytes are intact (CRC passes) but whose contents are

@@ -8,10 +8,8 @@
 
 #include "graph/generators.hpp"
 #include "service/batch_solver.hpp"
-#include "service/portfolio.hpp"
 #include "service/tuner.hpp"
 #include "store/backend.hpp"
-#include "store/codec.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -90,13 +88,15 @@ TEST(EngineTuner, DecayAgesOutHeuristicDominance) {
   EXPECT_TRUE(tuner.admit_exact(4));
 }
 
-TEST(EngineTuner, SeededPoisonedTableIsCappedAndRecoverable) {
+TEST(EngineTuner, SeededPoisonedScoresAreCappedAndRecoverable) {
   EngineTuner tuner(fast_options(), kDeadline);
-  // A poisoned persisted table: 100k heuristic wins in bucket 4, zero
-  // exact. Under the frozen rule this disabled the exact engine forever.
-  std::vector<std::uint64_t> counts(32 * 3, 0);
-  counts[4 * 3 + 2] = 100'000;
-  tuner.seed_from_win_table(counts, 3);
+  // A poisoned persisted record: heuristic score 100k in bucket 4, zero
+  // exact. Under a cumulative skip rule this disabled the exact engine
+  // forever.
+  TunerScores poisoned;
+  poisoned.heuristic[4] = 100'000;
+  tuner.seed(poisoned);
+  EXPECT_EQ(tuner.scores().heuristic[4], 16.0);  // skip_score 4 * kSeedCapFactor
 
   EXPECT_FALSE(tuner.admit_exact(4));  // biased: starts trimmed...
   int admitted = 0;
@@ -113,10 +113,26 @@ TEST(EngineTuner, SeededPoisonedTableIsCappedAndRecoverable) {
   EXPECT_TRUE(tuner.admit_exact(4));
 }
 
-TEST(EngineTuner, WrongShapeSeedIsIgnored) {
+TEST(EngineTuner, SeedRestoresScoresBelowTheCapVerbatim) {
   EngineTuner tuner(fast_options(), kDeadline);
-  tuner.seed_from_win_table(std::vector<std::uint64_t>(7, 1'000'000), 3);
-  tuner.seed_from_win_table(std::vector<std::uint64_t>(32 * 2, 1'000'000), 2);
+  TunerScores seeded;
+  seeded.exact[3] = 2.5;
+  seeded.heuristic[3] = 0.75;
+  seeded.exact[9] = 16.0;  // exactly the cap
+  tuner.seed(seeded);
+  const TunerScores scores = tuner.scores();
+  EXPECT_EQ(scores.exact, seeded.exact);
+  EXPECT_EQ(scores.heuristic, seeded.heuristic);
+}
+
+TEST(EngineTuner, DisabledTunerIgnoresSeed) {
+  TunerOptions options = fast_options();
+  options.enabled = false;
+  EngineTuner tuner(options, kDeadline);
+  TunerScores poisoned;
+  poisoned.heuristic[4] = 100'000;
+  tuner.seed(poisoned);
+  EXPECT_EQ(tuner.scores().heuristic[4], 0.0);
   EXPECT_TRUE(tuner.admit_exact(4));
 }
 
@@ -203,11 +219,11 @@ TEST(EngineTuner, ToJsonListsOnlyObservedBuckets) {
 
 // ---------------------------------------------------------------------------
 // The regression that motivated this layer, at service level: a restart
-// over a heuristic-poisoned persisted win table must not freeze the exact
-// engine out (the old cumulative skip rule did exactly that).
+// over heuristic-poisoned persisted scores must not freeze the exact
+// engine out (a cumulative skip rule did exactly that).
 // ---------------------------------------------------------------------------
 
-TEST(TunerService, RestartOverPoisonedWinTableStillRunsExactEngine) {
+TEST(TunerService, RestartOverPoisonedScoresStillRunsExactEngine) {
   const std::string path = ::testing::TempDir() + "lptsp_poisoned_" +
                            std::to_string(::getpid()) + ".store";
   std::remove(path.c_str());
@@ -218,14 +234,10 @@ TEST(TunerService, RestartOverPoisonedWinTableStillRunsExactEngine) {
     auto backend = PersistentBackend::open(store_options, error);
     ASSERT_NE(backend, nullptr) << error;
     // Every n=12-sized race "won" by the heuristic, none by an exact
-    // engine — the poison that used to trip the frozen skip rule.
-    WinTableRecord table;
-    table.buckets = EnginePortfolio::kBuckets;
-    table.slots = EnginePortfolio::kSlots;
-    table.counts.assign(
-        static_cast<std::size_t>(EnginePortfolio::kBuckets) * EnginePortfolio::kSlots, 0);
-    table.counts[4 * EnginePortfolio::kSlots + 2] = 1'000;  // bucket of n=12, ChainedLK slot
-    backend->put_win_table(table);
+    // engine — the poison that trips a frozen skip rule.
+    TunerScores poisoned;
+    poisoned.heuristic[static_cast<std::size_t>(obs::size_bucket(12))] = 1'000;
+    backend->put_tuner_scores(poisoned);
   }
 
   BatchSolver::Options options;
@@ -246,14 +258,14 @@ TEST(TunerService, RestartOverPoisonedWinTableStillRunsExactEngine) {
     request.graph = random_with_diameter_at_most(12, 2, 0.3, rng);
     const SolveResponse response = solver.solve_one(request);
     ASSERT_TRUE(response.ok()) << response.message;
-    exact_won = solver.portfolio().wins(12, Engine::HeldKarp) +
-                    solver.portfolio().wins(12, Engine::BranchBound) >
-                0;
+    exact_won = response.engine == Engine::HeldKarp || response.engine == Engine::BranchBound;
   }
   EXPECT_TRUE(exact_won)
-      << "poisoned persisted win table froze the exact engine out: no exact win "
-      << "recorded in 64 races (re-probe should fire every few skips)";
-  EXPECT_GT(solver.tuner().reprobes() + solver.portfolio().wins(12, Engine::HeldKarp), 0u);
+      << "poisoned persisted scores froze the exact engine out: no exact win "
+      << "in 64 races (re-probe should fire every few skips)";
+  // The seed starts the bucket trimmed, so the exact engine can only have
+  // run as a re-probe.
+  EXPECT_GT(solver.tuner().reprobes(), 0u);
   std::remove(path.c_str());
 }
 

@@ -156,6 +156,19 @@ TEST(ThreadPool, ParallelBlocksCoversRangeOnce) {
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
+TEST(TaskPool, ReadyFutureIsNoLongerPending) {
+  // A caller holding a ready future must never still count its task as
+  // pending: admission gates read pending() right after completions.
+  TaskPool pool(2);
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_EQ(pool.submit([i] { return i; }).get(), i);
+    ASSERT_EQ(pool.pending(), 0u) << "iteration " << i;
+  }
+  auto failing = pool.submit([]() -> int { throw std::runtime_error("task failed"); });
+  EXPECT_THROW(failing.get(), std::runtime_error);
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
 TEST(ParallelForHelper, SerialModeMatchesParallel) {
   std::vector<int> serial(64, 0);
   std::vector<std::atomic<int>> parallel(64);

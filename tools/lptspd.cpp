@@ -18,8 +18,7 @@
 ///          [--store-degraded-after=3] [--store-probe-ms=1000]
 ///          [--brownout-heuristic-pending=N] [--brownout-reject-pending=N]
 ///          [--brownout-retry-after-ms=250]
-///          [--no-learn] [--learn-reprobe=16] [--learn-decay-every=64]
-///          [--learn-effort-every=32] [--admission-work-budget=MS]
+///          [--no-learn] [--admission-work-budget=MS]
 ///
 /// Worker counts of 0 mean hardware concurrency. --max-pending is the
 /// service-wide admission bound (RejectedOverload beyond it); 0 disables
@@ -51,7 +50,7 @@
 /// absent); --state-dir is the directory flavor (uses DIR/lptspd.store,
 /// creating DIR). A restarted daemon reloads, re-verifies, and serves its
 /// previously solved results without re-running an engine, and resumes the
-/// portfolio's engine-choice learning where it stopped. --cache-sync adds
+/// tuner's engine-choice learning where it stopped. --cache-sync adds
 /// an fsync per persisted result (default: OS page-cache durability).
 ///
 /// Degradation ladder: --store-degraded-after=K flips the durable store
@@ -69,16 +68,15 @@
 /// net.write_short net.disconnect engine.stall).
 ///
 /// Learning loop: the tuner (on by default) pre-trims the exact engine
-/// per size bucket from decayed win scores but re-probes it every
-/// --learn-reprobe-th skipped race (so a heuristic-heavy persisted win
-/// table can bias but never freeze it), decays scores every
-/// --learn-decay-every races, and re-tunes per-bucket engine effort every
-/// --learn-effort-every deadline-bounded races. --no-learn reverts to the
-/// static portfolio rules. --admission-work-budget=MS admits requests
-/// against predicted pending engine work (rejecting when the backlog's
-/// predicted cost exceeds MS milliseconds) instead of only counting them;
-/// the retry-after hint stretches with the predicted drain time either
-/// way. See README "Learning loop".
+/// per size bucket from decayed win scores but re-probes it every 16th
+/// skipped race (so a heuristic-heavy persisted record can bias but never
+/// freeze it), halves scores every 64 races, and re-tunes per-bucket
+/// engine effort every 32 deadline-bounded races. --no-learn launches the
+/// exact engine on every race at fixed effort. --admission-work-budget=MS
+/// admits requests against predicted pending engine work (rejecting when
+/// the backlog's predicted cost exceeds MS milliseconds) instead of only
+/// counting them; the retry-after hint stretches with the predicted drain
+/// time either way. See README "Learning loop".
 
 #include <sys/stat.h>
 
@@ -146,12 +144,6 @@ int main(int argc, char** argv) {
   solver_options.trace_threshold = std::chrono::milliseconds{args.get_int("trace-slow-ms", 0)};
   solver_options.tuner.enabled = !args.has("no-learn");
   solver_options.portfolio.learn = solver_options.tuner.enabled;
-  solver_options.tuner.reprobe_every =
-      static_cast<std::uint32_t>(args.get_int("learn-reprobe", 16));
-  solver_options.tuner.decay_every =
-      static_cast<std::uint32_t>(args.get_int("learn-decay-every", 64));
-  solver_options.tuner.effort_update_every =
-      static_cast<std::uint32_t>(args.get_int("learn-effort-every", 32));
   solver_options.max_pending_work_ns =
       static_cast<std::uint64_t>(args.get_int("admission-work-budget", 0)) * 1'000'000ULL;
 
@@ -251,8 +243,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(solver_options.max_pending_work_ns / 1'000'000),
                 solver_options.max_pending_work_ns == 0 ? " (gauge only, count gate active)" : "");
   } else {
-    std::printf("lptspd: learning off (--no-learn): static skip rule, fixed effort, "
-                "count-based admission\n");
+    std::printf("lptspd: learning off (--no-learn): exact engine on every race, fixed effort, "
+                "%s admission\n",
+                solver_options.max_pending_work_ns == 0 ? "count-based" : "work-priced");
   }
   std::fflush(stdout);
 
@@ -297,16 +290,16 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "lptspd: cannot write --stats-json %s: %s\n", stats_json.c_str(),
                      std::strerror(errno));
       }
-      // Piggyback a win-table checkpoint on the stats tick so a crash
-      // loses at most one interval of engine-choice learning.
-      solver.checkpoint_win_table();
+      // Piggyback a tuner checkpoint on the stats tick so a crash loses
+      // at most one interval of engine-choice learning.
+      solver.checkpoint_tuner();
     }
   }
 
   std::printf("lptspd: shutting down\n");
   server.stop();
   // Final snapshot + checkpoint after the server stops, so the file and
-  // win table reflect every request that was served.
+  // the tuner's scores reflect every request that was served.
   if (!stats_json.empty()) {
     write_snapshot_file(stats_json, solver.metrics_registry().snapshot().to_json());
   }
@@ -316,6 +309,6 @@ int main(int argc, char** argv) {
   if (!profile_json.empty()) {
     write_snapshot_file(profile_json, solver.profile_json());
   }
-  solver.checkpoint_win_table();
+  solver.checkpoint_tuner();
   return 0;
 }
