@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "core/labeling.hpp"
@@ -27,6 +28,10 @@ enum class Engine {
   SimulatedAnnealing, ///< 2-opt annealing + VND polish
   BranchBound,        ///< exact DFS + MST bound (O(n) memory), exact
 };
+
+/// The highest Engine value. Decoders of persisted and wire engine bytes
+/// reject anything above it; a new engine goes last and moves this.
+constexpr std::uint8_t kLastEngine = static_cast<std::uint8_t>(Engine::BranchBound);
 
 /// Compile-checked engine names. The switch has no default and the project
 /// builds with -Werror=switch, so adding an Engine value without a name

@@ -1,6 +1,6 @@
 #include "graph/io.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -62,14 +62,6 @@ void write_edge_list_file(const std::string& path, const Graph& graph) {
   write_edge_list(out, graph);
 }
 
-namespace {
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  endian::put_u32(out, value);
-}
-
-}  // namespace
-
 std::size_t graph_binary_size(const Graph& graph) noexcept {
   // n, one degree word per vertex, one word per edge (forward lists hold
   // each edge exactly once).
@@ -78,18 +70,33 @@ std::size_t graph_binary_size(const Graph& graph) noexcept {
 
 void append_graph_binary(std::vector<std::uint8_t>& out, const Graph& graph) {
   const int n = graph.n();
-  out.reserve(out.size() + graph_binary_size(graph));
-  append_u32(out, static_cast<std::uint32_t>(n));
-  std::vector<int> forward;
+  const std::size_t begin = out.size();
+  out.resize(begin + graph_binary_size(graph));
+  std::uint8_t* cursor = out.data() + begin;
+  const auto write = [&cursor](std::uint32_t value) {
+    endian::set_u32(cursor, value);
+    cursor += 4;
+  };
+  write(static_cast<std::uint32_t>(n));
+  // Forward lists straight off the adjacency bit-matrix: scanning row v
+  // from bit v+1 up yields exactly the neighbours u > v, already sorted.
+  const int words = graph.words_per_row();
   for (int v = 0; v < n; ++v) {
-    forward.clear();
-    for (const int u : graph.neighbors(v)) {
-      if (u > v) forward.push_back(u);
+    const std::uint64_t* row = graph.adjacency_bits() + static_cast<std::size_t>(v) * words;
+    std::uint8_t* count_slot = cursor;
+    cursor += 4;
+    std::uint32_t count = 0;
+    for (int w = (v + 1) / 64; w < words; ++w) {
+      std::uint64_t bits = row[w];
+      if (w == (v + 1) / 64) bits &= ~std::uint64_t{0} << ((v + 1) % 64);
+      for (; bits != 0; bits &= bits - 1) {
+        write(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+        ++count;
+      }
     }
-    std::sort(forward.begin(), forward.end());
-    append_u32(out, static_cast<std::uint32_t>(forward.size()));
-    for (const int u : forward) append_u32(out, static_cast<std::uint32_t>(u));
+    endian::set_u32(count_slot, count);
   }
+  LPTSP_ENSURE(cursor == out.data() + out.size(), "graph binary size disagrees with m()");
 }
 
 bool decode_graph_binary(const std::uint8_t* data, std::size_t size, std::size_t& offset,

@@ -93,11 +93,8 @@ std::size_t open_frame(std::vector<std::uint8_t>& out, MessageType type) {
 }
 
 void close_frame(std::vector<std::uint8_t>& out, std::size_t length_slot) {
-  const auto payload = static_cast<std::uint32_t>(out.size() - length_slot - 4);
-  out[length_slot] = static_cast<std::uint8_t>(payload & 0xff);
-  out[length_slot + 1] = static_cast<std::uint8_t>((payload >> 8) & 0xff);
-  out[length_slot + 2] = static_cast<std::uint8_t>((payload >> 16) & 0xff);
-  out[length_slot + 3] = static_cast<std::uint8_t>((payload >> 24) & 0xff);
+  endian::set_u32(out.data() + length_slot,
+                  static_cast<std::uint32_t>(out.size() - length_slot - 4));
 }
 
 constexpr std::uint8_t kResponseOptimalBit = 1;
@@ -165,7 +162,7 @@ DecodeResult decode_request(Cursor& cursor, const WireLimits& limits) {
     return fail(WireFault::Malformed, "request: sampled bit without trace context");
   }
   if ((flags & kRequestPinnedBit) != 0) {
-    if (engine_byte > static_cast<std::uint8_t>(Engine::BranchBound)) {
+    if (engine_byte > kLastEngine) {
       return fail(WireFault::Malformed,
                   "request: unknown engine " + std::to_string(engine_byte));
     }
@@ -218,7 +215,7 @@ DecodeResult decode_response(Cursor& cursor) {
   if (source > static_cast<std::uint8_t>(ResponseSource::Coalesced)) {
     return fail(WireFault::Malformed, "response: unknown source " + std::to_string(source));
   }
-  if (engine_byte > static_cast<std::uint8_t>(Engine::BranchBound)) {
+  if (engine_byte > kLastEngine) {
     return fail(WireFault::Malformed, "response: unknown engine " + std::to_string(engine_byte));
   }
   if (flags > (kResponseOptimalBit | kResponseReductionCachedBit | kResponseRetryAfterBit |

@@ -1,5 +1,6 @@
 #include "store/backend.hpp"
 
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,7 +35,7 @@ bool PersistentBackend::allow_write() {
           .count());
   std::uint64_t last_ns = last_probe_ns_.load(std::memory_order_relaxed);
   // One writer wins the probe slot per interval (CAS): a heal attempt is
-  // a full live-state rewrite, not something every racing put should pay.
+  // a copy of the whole live set, not something every racing put should pay.
   if (now_ns - last_ns >= interval_ns &&
       last_probe_ns_.compare_exchange_strong(last_ns, now_ns, std::memory_order_relaxed)) {
     if (probe_reopen()) return true;
@@ -45,9 +46,9 @@ bool PersistentBackend::allow_write() {
 
 bool PersistentBackend::probe_reopen() {
   reopen_probes_.add();
-  // compact() rewrites the complete in-memory live set to a fresh log and
-  // renames it over the (possibly poisoned) old one — so a successful
-  // heal also recovers every record whose append failed while degraded.
+  // compact() copies every live record, plus the KV layer's pending set,
+  // to a fresh log and renames it over the (possibly poisoned) old one —
+  // so a successful heal also recovers every record whose append failed.
   if (!kv_->compact()) return false;
   reopens_.add();
   consecutive_failures_.store(0, std::memory_order_relaxed);
@@ -84,35 +85,32 @@ void PersistentBackend::put_result(const std::string& key, const Graph& canon, c
   const std::lock_guard lock(result_put_mutex_);
   // Monotone-improving per key: the in-memory cache's better-entry policy
   // cannot vouch for an entry it has already evicted, so the comparison
-  // against the resident DISK record happens here, atomically — via the
-  // O(1) trailer peek, not a full graph decode under the lock.
-  if (const std::optional<std::string> existing_value = kv_->get(kResultsNamespace, key)) {
-    Weight existing_span = 0;
-    bool existing_optimal = false;
-    if (peek_persisted_result_quality(
-            reinterpret_cast<const std::uint8_t*>(existing_value->data()),
-            existing_value->size(), existing_span, existing_optimal) &&
-        (existing_span < entry.span ||
-         (existing_span == entry.span && existing_optimal && !entry.optimal))) {
-      return;  // the record on disk is strictly better; keep it
-    }
+  // against the resident DISK record happens here, atomically — off the
+  // record's fixed trailer alone, not a copy or decode of the record.
+  std::uint8_t trailer[kPersistedResultTrailerSize] = {};
+  Weight existing_span = 0;
+  bool existing_optimal = false;
+  if (kv_->read_value_tail(kResultsNamespace, key, trailer, sizeof(trailer)) &&
+      peek_persisted_result_quality(trailer, existing_span, existing_optimal) &&
+      (existing_span < entry.span ||
+       (existing_span == entry.span && existing_optimal && !entry.optimal))) {
+    return;  // the record on disk is strictly better; keep it
   }
-  std::vector<std::uint8_t> value;
-  encode_persisted_result(value, canon, p.entries(), entry);
-  note_write(kv_->put(kResultsNamespace, key,
-                      std::string(reinterpret_cast<const char*>(value.data()), value.size())));
+  note_write(kv_->put_encoded(kResultsNamespace, key, [&](std::vector<std::uint8_t>& out) {
+    encode_persisted_result(out, canon, p.entries(), entry);
+  }));
   append_ns_.record(obs::steady_now_ns() - begin_ns);
 }
 
 std::uint64_t PersistentBackend::for_each_result(
     const std::function<void(const std::string&, PersistedResult&&)>& fn) const {
   std::uint64_t undecodable = 0;
-  kv_->for_each(kResultsNamespace, [&](const std::string& key, const std::string& value) {
+  kv_->for_each(kResultsNamespace, [&](std::string_view key, std::string_view value) {
     PersistedResult record;
     std::string error;
     if (decode_persisted_result(reinterpret_cast<const std::uint8_t*>(value.data()),
                                 value.size(), record, error)) {
-      fn(key, std::move(record));
+      fn(std::string(key), std::move(record));
     } else {
       ++undecodable;
     }
@@ -123,10 +121,10 @@ std::uint64_t PersistentBackend::for_each_result(
 void PersistentBackend::put_tuner_scores(const TunerScores& scores) {
   if (!allow_write()) return;
   const std::uint64_t begin_ns = obs::steady_now_ns();
-  std::vector<std::uint8_t> value;
-  encode_tuner_scores(value, scores);
-  note_write(kv_->put(kMetaNamespace, kTunerScoresKey,
-                      std::string(reinterpret_cast<const char*>(value.data()), value.size())));
+  note_write(kv_->put_encoded(kMetaNamespace, kTunerScoresKey,
+                              [&](std::vector<std::uint8_t>& out) {
+                                encode_tuner_scores(out, scores);
+                              }));
   append_ns_.record(obs::steady_now_ns() - begin_ns);
 }
 

@@ -33,11 +33,12 @@ namespace lptsp {
 /// in-memory cache; writes become counted skips instead of repeated
 /// syscall failures. While degraded, at most once per
 /// `reopen_probe_interval` a write attempt turns into a reopen probe: a
-/// forced compaction that rewrites the full live in-memory state to a
-/// fresh log and atomically renames it over the old one. A successful
-/// probe heals the store — including every record whose append failed
-/// while degraded, because the in-memory index kept them — and exits
-/// degraded mode.
+/// forced compaction that copies every live record to a fresh log and
+/// atomically renames it over the old one. A successful probe heals the
+/// store — including every record whose append failed, because the KV
+/// layer keeps those (and only those) in its in-memory pending set — and
+/// exits degraded mode. Results the backend skipped while degraded were
+/// never handed to the KV layer and are not recovered.
 class PersistentBackend {
  public:
   static constexpr std::uint8_t kResultsNamespace = 0;
@@ -73,8 +74,9 @@ class PersistentBackend {
   void put_result(const std::string& key, const Graph& canon, const PVec& p,
                   const ResultEntry& entry);
 
-  /// Decode every live result record into `fn`; undecodable values are
-  /// counted (returned) and skipped. Runs under the store lock.
+  /// Read back and decode every live result record into `fn`;
+  /// undecodable values are counted (returned) and skipped. Runs under the
+  /// store lock.
   std::uint64_t for_each_result(
       const std::function<void(const std::string& key, PersistedResult&& record)>& fn) const;
 
@@ -92,7 +94,7 @@ class PersistentBackend {
   }
 
   /// Attempt a heal right now regardless of the probe interval: force a
-  /// compaction (full live-state rewrite + atomic rename). On success the
+  /// compaction (live-set copy plus the pending set + atomic rename). On success the
   /// backend leaves degraded mode. Exposed for tests and operator tooling;
   /// the write path calls this automatically on the probe cadence.
   bool probe_reopen();
@@ -124,7 +126,7 @@ class PersistentBackend {
   /// is atomic across racing result writers (tuner-score puts don't need it).
   std::mutex result_put_mutex_;
   obs::Counter write_failures_;
-  /// End-to-end latency of durable appends (encode + monotonicity peek +
+  /// End-to-end latency of durable appends (monotonicity peek + encode +
   /// KV put), recorded in both put_result and put_tuner_scores.
   obs::LatencyHistogram append_ns_;
 

@@ -13,10 +13,6 @@ namespace {
 constexpr std::uint8_t kResultFormatVersion = 1;
 constexpr std::uint8_t kTunerScoresFormatVersion = 1;
 
-/// Engines are persisted as their enum value; anything beyond the last
-/// enumerator is a corrupt or future record.
-constexpr std::uint8_t kMaxEngine = static_cast<std::uint8_t>(Engine::BranchBound);
-
 constexpr std::uint32_t kMaxPDimension = 64;  // k far beyond any real request
 
 using endian::try_get_u32;
@@ -27,6 +23,8 @@ using endian::try_get_u8;
 
 void encode_persisted_result(std::vector<std::uint8_t>& out, const Graph& canon,
                              const std::vector<int>& p_entries, const ResultEntry& entry) {
+  out.reserve(out.size() + 1 + graph_binary_size(canon) + 4 + 4 * p_entries.size() + 4 +
+              8 * entry.labels.size() + kPersistedResultTrailerSize);
   out.push_back(kResultFormatVersion);
   append_graph_binary(out, canon);
   endian::put_u32(out, static_cast<std::uint32_t>(p_entries.size()));
@@ -43,16 +41,10 @@ void encode_persisted_result(std::vector<std::uint8_t>& out, const Graph& canon,
   endian::put_u64(out, static_cast<std::uint64_t>(entry.deadline_ms));
 }
 
-bool peek_persisted_result_quality(const std::uint8_t* data, std::size_t size, Weight& span,
-                                   bool& optimal) {
-  // Smallest possible v1 record: version(1) + empty graph n(4) + k(4) +
-  // one p entry(4) + label count(4) + trailer(18).
-  constexpr std::size_t kTrailerSize = 18;  // span u64 | optimal u8 | engine u8 | deadline u64
-  constexpr std::size_t kMinRecordSize = 1 + 4 + 4 + 4 + 4 + kTrailerSize;
-  if (size < kMinRecordSize || data[0] != kResultFormatVersion) return false;
-  const std::uint8_t optimal_byte = data[size - 10];
-  if (optimal_byte > 1) return false;
-  span = static_cast<Weight>(endian::get_u64(data + size - kTrailerSize));
+bool peek_persisted_result_quality(const std::uint8_t* trailer, Weight& span, bool& optimal) {
+  const std::uint8_t optimal_byte = trailer[8];
+  if (optimal_byte > 1 || trailer[9] > kLastEngine) return false;
+  span = static_cast<Weight>(endian::get_u64(trailer));
   if (span < 0) return false;
   optimal = optimal_byte == 1;
   return true;
@@ -117,7 +109,7 @@ bool decode_persisted_result(const std::uint8_t* data, std::size_t size,
     error = "result record: truncated trailer";
     return false;
   }
-  if (optimal > 1 || engine > kMaxEngine || static_cast<Weight>(span) < 0 ||
+  if (optimal > 1 || engine > kLastEngine || static_cast<Weight>(span) < 0 ||
       static_cast<std::int64_t>(deadline_ms) < 0) {
     error = "result record: out-of-range trailer field";
     return false;

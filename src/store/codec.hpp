@@ -43,14 +43,17 @@ void encode_persisted_result(std::vector<std::uint8_t>& out, const Graph& canon,
 [[nodiscard]] bool decode_persisted_result(const std::uint8_t* data, std::size_t size,
                                            PersistedResult& result, std::string& error);
 
-/// Read just (span, optimal) from a result record's fixed-size trailer —
-/// the last 18 bytes of every version-1 record — without decoding the
-/// graph. This is the O(1) read behind the backend's "is the record on
-/// disk already better?" check; a full decode would parse the whole graph
-/// under the backend's write lock. False when the bytes cannot be a
-/// version-1 record.
-[[nodiscard]] bool peek_persisted_result_quality(const std::uint8_t* data, std::size_t size,
-                                                 Weight& span, bool& optimal);
+/// Every version-1 result record ends in this fixed-size trailer:
+/// span u64 | optimal u8 | engine u8 | deadline_ms u64.
+constexpr std::size_t kPersistedResultTrailerSize = 18;
+
+/// Read just (span, optimal) from a result record's trailer (its last
+/// kPersistedResultTrailerSize bytes) without the rest of the record.
+/// This is the O(1) read behind the backend's "is the record on disk
+/// already better?" check, which then needs only those bytes off the log.
+/// False when the bytes cannot be a version-1 trailer.
+[[nodiscard]] bool peek_persisted_result_quality(const std::uint8_t* trailer, Weight& span,
+                                                 bool& optimal);
 
 /// Append the encoding of the engine tuner's learned scores: u8 version |
 /// u32 bucket count | per bucket f64 exact score, f64 heuristic score

@@ -1,6 +1,7 @@
 #include "store/log.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,7 +19,7 @@ namespace {
 constexpr char kMagic[8] = {'L', 'P', 'T', 'S', 'P', 'L', 'O', 'G'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderSize = 16;  // magic(8) + version(4) + crc(4)
-constexpr std::size_t kFrameSize = 8;    // payload_len(4) + payload_crc(4)
+constexpr std::size_t kFrameSize = RecordLog::kFrameSize;  // payload_len(4) + payload_crc(4)
 
 std::vector<std::uint8_t> encode_header() {
   std::vector<std::uint8_t> header(kMagic, kMagic + sizeof(kMagic));
@@ -45,9 +46,32 @@ bool write_fully(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+/// pread exactly `size` bytes at `offset`, retrying on short reads and
+/// EINTR; false on IO error or end of file.
+bool pread_fully(int fd, std::uint8_t* out, std::size_t size, std::uint64_t offset) {
+  while (size > 0) {
+    const ssize_t got = ::pread(fd, out, size, static_cast<off_t>(offset));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (got == 0) return false;
+    out += got;
+    size -= static_cast<std::size_t>(got);
+    offset += static_cast<std::uint64_t>(got);
+  }
+  return true;
+}
+
 /// Read the whole file from offset 0 into `out`; false on IO error.
 bool read_all(int fd, std::vector<std::uint8_t>& out) {
   out.clear();
+  // One allocation of the file's size, not a doubling chain that peaks
+  // at twice it.
+  struct stat info {};
+  if (::fstat(fd, &info) == 0 && info.st_size > 0) {
+    out.reserve(static_cast<std::size_t>(info.st_size));
+  }
   std::uint8_t buffer[1u << 16];
   std::uint64_t offset = 0;
   while (true) {
@@ -128,7 +152,7 @@ std::unique_ptr<RecordLog> RecordLog::open(const Options& options, const RecordF
       // still known, so only this record is lost.
       ++stats.dropped_records;
     } else {
-      on_record(payload, payload_len);
+      on_record(file.data(), pos + kFrameSize, payload_len);
       ++stats.records;
     }
     pos += kFrameSize + payload_len;
@@ -174,7 +198,16 @@ RecordLog::~RecordLog() {
 }
 
 bool RecordLog::append(const std::uint8_t* payload, std::size_t size) {
-  if (failed_) return false;
+  std::vector<std::uint8_t> record;
+  record.reserve(kFrameSize + size);
+  record.resize(kFrameSize);
+  record.insert(record.end(), payload, payload + size);
+  return append_framed(record);
+}
+
+bool RecordLog::append_framed(std::vector<std::uint8_t>& record) {
+  if (failed_ || record.size() < kFrameSize) return false;
+  const std::size_t size = record.size() - kFrameSize;
   // An oversized payload is refused, but nothing was written, so the log
   // is still intact — later (fitting) appends must keep working. Only a
   // failed WRITE poisons the log: a half-written frame would corrupt the
@@ -191,17 +224,27 @@ bool RecordLog::append(const std::uint8_t* payload, std::size_t size) {
   // One buffer, one write: the frame and payload land contiguously, so a
   // crash leaves at worst a torn tail (which open() repairs), never an
   // intact frame pointing at someone else's bytes.
-  std::vector<std::uint8_t> record;
-  record.reserve(kFrameSize + size);
-  endian::put_u32(record, static_cast<std::uint32_t>(size));
-  endian::put_u32(record, crc32::of(payload, size));
-  record.insert(record.end(), payload, payload + size);
+  endian::set_u32(record.data(), static_cast<std::uint32_t>(size));
+  endian::set_u32(record.data() + 4, crc32::of(record.data() + kFrameSize, size));
   if (!write_fully(fd_, record.data(), record.size())) {
     failed_ = true;
     return false;
   }
   size_ += record.size();
   return true;
+}
+
+bool RecordLog::read(std::uint64_t offset, std::size_t size,
+                     std::vector<std::uint8_t>& record) const {
+  if (offset < kHeaderSize + kFrameSize || size > options_.max_record_bytes) return false;
+  record.resize(kFrameSize + size);
+  if (!pread_fully(fd_, record.data(), record.size(), offset - kFrameSize)) return false;
+  return endian::get_u32(record.data()) == size &&
+         endian::get_u32(record.data() + 4) == crc32::of(record.data() + kFrameSize, size);
+}
+
+bool RecordLog::read_raw(std::uint64_t offset, std::uint8_t* out, std::size_t size) const {
+  return pread_fully(fd_, out, size, offset);
 }
 
 bool RecordLog::sync() {

@@ -44,7 +44,15 @@ class RecordLog {
     bool created = false;                ///< the file was absent or empty
   };
 
-  using RecordFn = std::function<void(const std::uint8_t* payload, std::size_t size)>;
+  /// Bytes of framing (payload_len + payload_crc) in front of every payload.
+  static constexpr std::size_t kFrameSize = 8;
+
+  /// One valid record found by open()'s scan. `image` is the scan's read
+  /// image of the whole file and stays valid until open() returns; this
+  /// record's payload is the `size` bytes at `image + offset`, and `offset`
+  /// is also its position in the file (what read() takes later).
+  using RecordFn =
+      std::function<void(const std::uint8_t* image, std::uint64_t offset, std::size_t size)>;
 
   /// Open `options.path` (creating it with a fresh header when absent or
   /// empty), replay every valid record through `on_record` in append order,
@@ -70,6 +78,25 @@ class RecordLog {
   bool append(const std::vector<std::uint8_t>& payload) {
     return append(payload.data(), payload.size());
   }
+
+  /// append() without the copy into a frame buffer: `record` holds
+  /// kFrameSize bytes of room for the frame followed by the payload, and
+  /// this fills the frame in place and writes the buffer as it is. The
+  /// payload lands at offset bytes() + kFrameSize (bytes() read before
+  /// the call).
+  bool append_framed(std::vector<std::uint8_t>& record);
+
+  /// Read back the record whose payload starts at file offset `offset`
+  /// and is `size` bytes long, re-checking its frame: false on IO error,
+  /// a frame length other than `size` or a CRC mismatch. On success
+  /// `record` holds the frame followed by the payload — exactly the
+  /// buffer append_framed() takes, so a compaction can copy it verbatim.
+  bool read(std::uint64_t offset, std::size_t size, std::vector<std::uint8_t>& record) const;
+
+  /// pread `size` bytes at file offset `offset` into `out` with no
+  /// integrity check (partial reads of a record located by read()'s
+  /// offsets); false on IO error or a short read.
+  bool read_raw(std::uint64_t offset, std::uint8_t* out, std::size_t size) const;
 
   /// fsync the file (and nothing else); false on IO error.
   bool sync();

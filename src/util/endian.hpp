@@ -27,6 +27,12 @@ inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
   }
 }
 
+/// Overwrite 4 bytes in place (patching a length or checksum slot
+/// reserved earlier in a buffer).
+inline void set_u32(std::uint8_t* data, std::uint32_t value) {
+  for (int b = 0; b < 4; ++b) data[b] = static_cast<std::uint8_t>((value >> (8 * b)) & 0xff);
+}
+
 /// Unchecked reads: the caller has verified `width` bytes are available.
 inline std::uint16_t get_u16(const std::uint8_t* data) {
   return static_cast<std::uint16_t>(static_cast<std::uint16_t>(data[0]) |

@@ -130,8 +130,8 @@ TEST_F(ChaosTest, StoreDegradesUnderWriteFaultsAndHealsAfterwards) {
     EXPECT_TRUE(gauge_seen);
 
     // Fault clears; the next probe (forced here, the write path does the
-    // same on its own cadence) rewrites the full live state and heals —
-    // including the results whose append failed while degraded.
+    // same on its own cadence) copies the live records to a fresh log and
+    // heals — including the results whose append failed while degraded.
     fault::disarm_all();
     EXPECT_TRUE(solver.store()->probe_reopen());
     EXPECT_FALSE(solver.store()->degraded());
@@ -141,8 +141,10 @@ TEST_F(ChaosTest, StoreDegradesUnderWriteFaultsAndHealsAfterwards) {
     expect_valid_if_ok(after, graphs[4]);
   }
   // A restart proves the heal was durable. The two failed-append records
-  // were recovered by the compaction (the KV layer kept them in memory);
-  // results produced while writes were being SKIPPED are gone, by design —
+  // were recovered by the compaction (the KV layer holds exactly those in
+  // its pending set until a compaction writes them; every other record is
+  // read back from the log); results produced while writes were being
+  // SKIPPED are gone, by design —
   // the store is a best-effort cache, never the source of truth. So at
   // least: 2 recovered + 1 post-heal.
   BatchSolver reopened(options);
@@ -328,7 +330,9 @@ TEST_F(ChaosNetTest, MixedFaultScheduleNeverCrashesAndNeverLies) {
 
   // Fault-free epilogue: full recovery, no residue.
   fault::disarm_all();
-  if (!client.connected()) ASSERT_TRUE(client.reconnect());
+  if (!client.connected()) {
+    ASSERT_TRUE(client.reconnect());
+  }
   const Graph fresh = random_with_diameter_at_most(12, 2, 0.3, rng);
   const SolveResponse after = client.solve_retry(request_for(fresh, 999));
   ASSERT_TRUE(after.ok()) << after.message;

@@ -206,6 +206,35 @@ TEST(DurableService, LegacyWinCountRecordIsIgnored) {
   std::remove(path.c_str());
 }
 
+/// A persisted result's engine byte (trailer offset 9) decodes up to
+/// kLastEngine; kLastEngine + 1 is a corrupt or future record, rejected by
+/// both the full decode and the trailer peek.
+TEST(ResultCodec, EngineBytesAboveTheLastEngineAreRejected) {
+  ResultEntry entry;
+  entry.labels = {0, 2, 4};
+  entry.span = 4;
+  entry.optimal = true;
+  entry.engine = static_cast<Engine>(kLastEngine);
+  std::vector<std::uint8_t> bytes;
+  encode_persisted_result(bytes, path_graph(3), PVec::L21().entries(), entry);
+  const std::size_t trailer_at = bytes.size() - kPersistedResultTrailerSize;
+  ASSERT_EQ(bytes[trailer_at + 9], kLastEngine);
+  PersistedResult decoded;
+  std::string error;
+  ASSERT_TRUE(decode_persisted_result(bytes.data(), bytes.size(), decoded, error)) << error;
+  EXPECT_EQ(decoded.entry.engine, static_cast<Engine>(kLastEngine));
+  Weight span = 0;
+  bool optimal = false;
+  ASSERT_TRUE(peek_persisted_result_quality(bytes.data() + trailer_at, span, optimal));
+  EXPECT_EQ(span, 4);
+  EXPECT_TRUE(optimal);
+
+  bytes[trailer_at + 9] = kLastEngine + 1;
+  EXPECT_FALSE(decode_persisted_result(bytes.data(), bytes.size(), decoded, error));
+  EXPECT_NE(error.find("out-of-range trailer"), std::string::npos) << error;
+  EXPECT_FALSE(peek_persisted_result_quality(bytes.data() + trailer_at, span, optimal));
+}
+
 // ---------------------------------------------------------------------------
 // The tuner-scores record codec, directly.
 // ---------------------------------------------------------------------------

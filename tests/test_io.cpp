@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "util/check.hpp"
+#include "util/endian.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -89,6 +92,37 @@ TEST(BinaryGraphIo, RoundTripsRandomAndDegenerateGraphs) {
     ASSERT_TRUE(decode_graph_binary(bytes.data(), bytes.size(), offset, decoded, error))
         << error;
     EXPECT_EQ(offset, bytes.size());
+    EXPECT_EQ(decoded, graph);
+  }
+}
+
+/// The byte layout is pinned, not just round-tripped: persisted store
+/// records and wire frames written by older builds must keep decoding to
+/// the same bytes. Expected = n, then per vertex the ascending list of its
+/// neighbours above it, built here from Graph::edges(). Orders above 64
+/// cross adjacency-word boundaries.
+TEST(BinaryGraphIo, EncodingIsAscendingForwardListsPerVertex) {
+  Rng rng(17);
+  for (const int n : {1, 2, 63, 64, 65, 127, 130, 200}) {
+    const Graph graph = erdos_renyi(n, 0.3, rng);
+    std::vector<std::vector<std::uint32_t>> forward(static_cast<std::size_t>(n));
+    for (const auto& [u, v] : graph.edges()) {
+      forward[static_cast<std::size_t>(u)].push_back(static_cast<std::uint32_t>(v));
+    }
+    std::vector<std::uint8_t> expected;
+    endian::put_u32(expected, static_cast<std::uint32_t>(n));
+    for (const auto& list : forward) {
+      endian::put_u32(expected, static_cast<std::uint32_t>(list.size()));
+      for (const std::uint32_t u : list) endian::put_u32(expected, u);
+    }
+    std::vector<std::uint8_t> bytes = {0xAB};  // appends after existing bytes
+    append_graph_binary(bytes, graph);
+    ASSERT_EQ(bytes.size(), 1 + expected.size()) << n;
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), bytes.begin() + 1)) << n;
+    Graph decoded(0);
+    std::string error;
+    std::size_t offset = 1;
+    ASSERT_TRUE(decode_graph_binary(bytes.data(), bytes.size(), offset, decoded, error)) << error;
     EXPECT_EQ(decoded, graph);
   }
 }

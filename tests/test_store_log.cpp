@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "store/log.hpp"
+#include "util/crc32.hpp"
 
 namespace lptsp {
 namespace {
@@ -26,8 +28,8 @@ std::vector<std::string> scan(const std::string& path, RecordLog::OpenStats& sta
   options.path = path;
   auto log = RecordLog::open(
       options,
-      [&records](const std::uint8_t* payload, std::size_t size) {
-        records.emplace_back(reinterpret_cast<const char*>(payload), size);
+      [&records](const std::uint8_t* image, std::uint64_t offset, std::size_t size) {
+        records.emplace_back(reinterpret_cast<const char*>(image + offset), size);
       },
       stats, error);
   EXPECT_NE(log, nullptr) << error;
@@ -46,6 +48,9 @@ void write_file(const std::string& path, const std::vector<char>& data) {
 
 constexpr std::size_t kHeaderSize = 16;
 constexpr std::size_t kFrameSize = 8;
+static_assert(RecordLog::kFrameSize == kFrameSize);
+
+const RecordLog::RecordFn ignore_records = [](const std::uint8_t*, std::uint64_t, std::size_t) {};
 
 TEST(RecordLog, AppendThenScanRoundTrips) {
   const std::string path = temp_path("roundtrip");
@@ -55,8 +60,8 @@ TEST(RecordLog, AppendThenScanRoundTrips) {
     std::string error;
     RecordLog::Options options;
     options.path = path;
-    auto log = RecordLog::open(options, [](const std::uint8_t*, std::size_t) { FAIL(); },
-                               stats, error);
+    auto log = RecordLog::open(
+        options, [](const std::uint8_t*, std::uint64_t, std::size_t) { FAIL(); }, stats, error);
     ASSERT_NE(log, nullptr) << error;
     EXPECT_TRUE(stats.created);
     EXPECT_TRUE(log->append(bytes("alpha")));
@@ -85,7 +90,7 @@ TEST(RecordLog, ReopenAppendsAfterExistingRecords) {
     std::string error;
     RecordLog::Options options;
     options.path = path;
-    auto log = RecordLog::open(options, [](const std::uint8_t*, std::size_t) {}, stats, error);
+    auto log = RecordLog::open(options, ignore_records, stats, error);
     ASSERT_NE(log, nullptr) << error;
     EXPECT_EQ(stats.records, static_cast<std::uint64_t>(round));
     EXPECT_TRUE(log->append(bytes("round-" + std::to_string(round))));
@@ -105,7 +110,7 @@ TEST(RecordLog, TornTailIsTruncatedAndLogStaysAppendable) {
     std::string error;
     RecordLog::Options options;
     options.path = path;
-    auto log = RecordLog::open(options, [](const std::uint8_t*, std::size_t) {}, stats, error);
+    auto log = RecordLog::open(options, ignore_records, stats, error);
     ASSERT_NE(log, nullptr);
     log->append(bytes("one"));
     log->append(bytes("two"));
@@ -128,7 +133,7 @@ TEST(RecordLog, TornTailIsTruncatedAndLogStaysAppendable) {
     std::string error;
     RecordLog::Options options;
     options.path = path;
-    auto log = RecordLog::open(options, [](const std::uint8_t*, std::size_t) {}, reopen_stats,
+    auto log = RecordLog::open(options, ignore_records, reopen_stats,
                                error);
     ASSERT_NE(log, nullptr);
     EXPECT_TRUE(log->append(bytes("three")));
@@ -148,7 +153,7 @@ TEST(RecordLog, TruncatedMidPayloadDropsOnlyTheTail) {
     std::string error;
     RecordLog::Options options;
     options.path = path;
-    auto log = RecordLog::open(options, [](const std::uint8_t*, std::size_t) {}, stats, error);
+    auto log = RecordLog::open(options, ignore_records, stats, error);
     ASSERT_NE(log, nullptr);
     log->append(bytes("first-record"));
     log->append(bytes("second-record"));
@@ -173,7 +178,7 @@ TEST(RecordLog, BitFlippedRecordIsSkippedButLaterRecordsSurvive) {
     std::string error;
     RecordLog::Options options;
     options.path = path;
-    auto log = RecordLog::open(options, [](const std::uint8_t*, std::size_t) {}, stats, error);
+    auto log = RecordLog::open(options, ignore_records, stats, error);
     ASSERT_NE(log, nullptr);
     log->append(bytes("aaaaaaaa"));
     log->append(bytes("bbbbbbbb"));
@@ -204,7 +209,7 @@ TEST(RecordLog, ImplausibleLengthFieldTruncatesTheRest) {
     std::string error;
     RecordLog::Options options;
     options.path = path;
-    auto log = RecordLog::open(options, [](const std::uint8_t*, std::size_t) {}, stats, error);
+    auto log = RecordLog::open(options, ignore_records, stats, error);
     ASSERT_NE(log, nullptr);
     log->append(bytes("keepme"));
     log->append(bytes("corrupt-my-length"));
@@ -231,7 +236,7 @@ TEST(RecordLog, ForeignFileFailsOpenInsteadOfBeingTruncated) {
   std::string error;
   RecordLog::Options options;
   options.path = path;
-  auto log = RecordLog::open(options, [](const std::uint8_t*, std::size_t) {}, stats, error);
+  auto log = RecordLog::open(options, ignore_records, stats, error);
   EXPECT_EQ(log, nullptr);
   EXPECT_FALSE(error.empty());
   EXPECT_EQ(read_file(path).size(), 18u);  // the foreign file was not touched
@@ -246,7 +251,7 @@ TEST(RecordLog, OversizedAppendIsRefusedWithoutPoisoningTheLog) {
   RecordLog::Options options;
   options.path = path;
   options.max_record_bytes = 16;
-  auto log = RecordLog::open(options, [](const std::uint8_t*, std::size_t) {}, stats, error);
+  auto log = RecordLog::open(options, ignore_records, stats, error);
   ASSERT_NE(log, nullptr);
   EXPECT_TRUE(log->append(bytes("fits")));
   // The oversized payload is refused, but nothing was written — the log
@@ -261,6 +266,94 @@ TEST(RecordLog, OversizedAppendIsRefusedWithoutPoisoningTheLog) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0], "fits");
   EXPECT_EQ(records[1], "tiny");
+  std::remove(path.c_str());
+}
+
+/// The slicing-by-8 checksum is the standard CRC-32: the check value,
+/// every length and alignment against a byte-at-a-time reference, and
+/// chaining through `seed`.
+TEST(Crc32, MatchesTheBytewiseReferenceAtEveryLengthAndAlignment) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32::of(reinterpret_cast<const std::uint8_t*>(check.data()), check.size()),
+            0xCBF43926u);
+  const auto reference = [](const std::uint8_t* data, std::size_t size) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+      c ^= data[i];
+      for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<std::uint8_t> data(80);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t size = 0; start + size <= data.size(); ++size) {
+      EXPECT_EQ(crc32::of(data.data() + start, size), reference(data.data() + start, size))
+          << start << "+" << size;
+    }
+  }
+  const std::uint32_t head = crc32::of(data.data(), 13);
+  EXPECT_EQ(crc32::of(data.data() + 13, 50, head), crc32::of(data.data(), 63));
+}
+
+/// The offsets open() reports, and the ones append_framed() lands at,
+/// read the record back through its frame check; a byte flipped on disk
+/// after open fails that check instead of being returned.
+TEST(RecordLog, OffsetsReadBackAndReadRechecksTheFrame) {
+  const std::string path = temp_path("readback");
+  std::remove(path.c_str());
+  {
+    RecordLog::OpenStats stats;
+    std::string error;
+    RecordLog::Options options;
+    options.path = path;
+    auto log = RecordLog::open(options, ignore_records, stats, error);
+    ASSERT_NE(log, nullptr) << error;
+    EXPECT_TRUE(log->append(bytes("first")));
+    EXPECT_TRUE(log->append(bytes("second-record")));
+  }
+  RecordLog::OpenStats stats;
+  std::string error;
+  RecordLog::Options options;
+  options.path = path;
+  std::vector<std::pair<std::uint64_t, std::size_t>> slots;
+  auto log = RecordLog::open(
+      options,
+      [&slots](const std::uint8_t*, std::uint64_t offset, std::size_t size) {
+        slots.emplace_back(offset, size);
+      },
+      stats, error);
+  ASSERT_NE(log, nullptr) << error;
+  ASSERT_EQ(slots.size(), 2u);
+  EXPECT_EQ(slots[0].first, kHeaderSize + kFrameSize);
+
+  // append_framed: the caller's buffer carries the frame room, and the
+  // payload lands at bytes() + kFrameSize.
+  std::vector<std::uint8_t> framed(kFrameSize, 0);
+  for (const char c : std::string("third")) framed.push_back(static_cast<std::uint8_t>(c));
+  const std::uint64_t third_offset = log->bytes() + kFrameSize;
+  ASSERT_TRUE(log->append_framed(framed));
+  slots.emplace_back(third_offset, 5);
+
+  const std::vector<std::string> expected = {"first", "second-record", "third"};
+  std::vector<std::uint8_t> record;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    ASSERT_TRUE(log->read(slots[i].first, slots[i].second, record)) << i;
+    EXPECT_EQ(std::string(record.begin() + kFrameSize, record.end()), expected[i]);
+  }
+  // A wrong length is a failed frame check, not a short read.
+  EXPECT_FALSE(log->read(slots[1].first, slots[1].second - 1, record));
+  char tail[3] = {};
+  ASSERT_TRUE(log->read_raw(slots[1].first + 10, reinterpret_cast<std::uint8_t*>(tail), 3));
+  EXPECT_EQ(std::string(tail, 3), "ord");
+
+  std::vector<char> file = read_file(path);
+  file[slots[1].first + 2] ^= 0x20;  // bit rot after open
+  write_file(path, file);
+  EXPECT_FALSE(log->read(slots[1].first, slots[1].second, record));
+  EXPECT_TRUE(log->read(slots[0].first, slots[0].second, record));
   std::remove(path.c_str());
 }
 

@@ -28,8 +28,7 @@ SolveRequest random_request(Rng& rng, std::uint64_t id) {
   request.deadline = std::chrono::milliseconds{rng.uniform_int(0, 100000)};
   request.priority = rng.uniform_int(-1000, 1000);
   if (rng.bernoulli(0.5)) {
-    request.engine =
-        static_cast<Engine>(rng.uniform_int(0, static_cast<int>(Engine::BranchBound)));
+    request.engine = static_cast<Engine>(rng.uniform_int(0, kLastEngine));
   }
   // v4 fields: trace context on roughly half the requests (0 = absent on
   // the wire, so both encodings stay covered).
@@ -48,8 +47,7 @@ SolveResponse random_response(Rng& rng, std::uint64_t id) {
       rng.uniform_int(0, static_cast<int>(SolveStatus::TransportDisconnected)));
   response.source =
       static_cast<ResponseSource>(rng.uniform_int(0, static_cast<int>(ResponseSource::Coalesced)));
-  response.engine =
-      static_cast<Engine>(rng.uniform_int(0, static_cast<int>(Engine::BranchBound)));
+  response.engine = static_cast<Engine>(rng.uniform_int(0, kLastEngine));
   response.optimal = rng.bernoulli(0.5);
   response.reduction_cached = rng.bernoulli(0.5);
   response.span = rng.uniform_int(-5, 1000000);
@@ -258,6 +256,41 @@ TEST(WireFormat, RequestFlagByteValidation) {
     const DecodeResult result = decode_payload(bad.data() + 4, bad.size() - 4);
     EXPECT_EQ(result.fault, WireFault::Truncated);
   }
+}
+
+/// kLastEngine is the highest engine byte either direction accepts: it
+/// decodes, and kLastEngine + 1 is a typed Malformed fault.
+TEST(WireFormat, EngineBytesAboveTheLastEngineAreRejected) {
+  SolveRequest request;
+  request.graph = path_graph(3);
+  request.p = PVec::L21();
+  request.id = 6;
+  request.engine = static_cast<Engine>(kLastEngine);
+  std::vector<std::uint8_t> frame;
+  encode_request(frame, request);
+  // The pinned engine byte follows len(4) type(1) id(8) deadline(4)
+  // priority(4) flags(1).
+  const std::size_t request_engine_at = 4 + 1 + 8 + 4 + 4 + 1;
+  ASSERT_EQ(frame[request_engine_at], kLastEngine);
+  EXPECT_TRUE(decode_payload(frame.data() + 4, frame.size() - 4).ok());
+  frame[request_engine_at] = kLastEngine + 1;
+  DecodeResult result = decode_payload(frame.data() + 4, frame.size() - 4);
+  EXPECT_EQ(result.fault, WireFault::Malformed);
+  EXPECT_NE(result.detail.find("unknown engine"), std::string::npos) << result.detail;
+
+  SolveResponse response;
+  response.id = 6;
+  response.engine = static_cast<Engine>(kLastEngine);
+  frame.clear();
+  encode_response(frame, response);
+  // len(4) type(1) id(8) status(1) source(1), then the engine byte.
+  const std::size_t response_engine_at = 4 + 1 + 8 + 1 + 1;
+  ASSERT_EQ(frame[response_engine_at], kLastEngine);
+  EXPECT_TRUE(decode_payload(frame.data() + 4, frame.size() - 4).ok());
+  frame[response_engine_at] = kLastEngine + 1;
+  result = decode_payload(frame.data() + 4, frame.size() - 4);
+  EXPECT_EQ(result.fault, WireFault::Malformed);
+  EXPECT_NE(result.detail.find("unknown engine"), std::string::npos) << result.detail;
 }
 
 TEST(WireFormat, ErrorFramesRoundTrip) {
