@@ -119,42 +119,36 @@ Diameter2Result lpq_span_diameter2(const Graph& graph, int p, int q, PartitionSo
   const Weight cheap = std::min(p, q);
   const Weight heavy = std::max(p, q);
   result.used_complement = p > q;
-  const Graph cheap_graph = result.used_complement ? complement(graph) : graph;
 
-  int partition_size = 0;
   PathPartition witness;
-  switch (solver) {
-    case PartitionSolver::Exact:
-      witness = path_partition_exact(cheap_graph);
-      partition_size = witness.size();
-      break;
-    case PartitionSolver::Greedy:
-      witness = path_partition_greedy(cheap_graph);
-      partition_size = witness.size();
-      break;
-    case PartitionSolver::CographDP:
-      partition_size = cograph_min_path_cover(cheap_graph);
-      break;
+  if (solver == PartitionSolver::CographDP) {
+    // The complement's cotree is G's with join and union swapped, so the
+    // cover of either side comes from G's own cotree.
+    const auto tree = build_cotree(graph);
+    LPTSP_REQUIRE(tree.has_value(), "graph is not a cograph");
+    witness = cotree_path_cover(*tree, result.used_complement);
+  } else {
+    const Graph cheap_graph = result.used_complement ? complement(graph) : graph;
+    witness = solver == PartitionSolver::Exact ? path_partition_exact(cheap_graph)
+                                               : path_partition_greedy(cheap_graph);
   }
-  result.partition_size = partition_size;
+  result.partition_size = witness.size();
   result.span = static_cast<Weight>(n - 1) * cheap +
-                (heavy - cheap) * static_cast<Weight>(partition_size - 1);
+                (heavy - cheap) * static_cast<Weight>(result.partition_size - 1);
 
-  if (!witness.paths.empty()) {
-    // Build the witness labeling by concatenating the paths: cheap steps
-    // inside a path, heavy steps between paths (this is exactly the
-    // lambda_p(G, pi) of the concatenated order).
-    std::vector<int> order;
-    order.reserve(static_cast<std::size_t>(n));
-    for (const auto& path : witness.paths) order.insert(order.end(), path.begin(), path.end());
-    const DistanceMatrix dist = all_pairs_distances(graph);
-    const PVec pv({p, q});
-    result.labeling = minimal_labeling_for_order(dist, pv, order);
-    LPTSP_ENSURE(is_valid_labeling(graph, dist, pv, result.labeling),
-                 "Corollary-2 witness labeling invalid");
-    LPTSP_ENSURE(result.labeling.span() <= result.span,
-                 "witness span exceeds the Corollary-2 value");
-  }
+  // Build the witness labeling by concatenating the paths: cheap steps
+  // inside a path, heavy steps between paths (this is exactly the
+  // lambda_p(G, pi) of the concatenated order).
+  std::vector<int> order;
+  order.reserve(static_cast<std::size_t>(n));
+  for (const auto& path : witness.paths) order.insert(order.end(), path.begin(), path.end());
+  const DistanceMatrix dist = all_pairs_distances(graph);
+  const PVec pv({p, q});
+  result.labeling = minimal_labeling_for_order(dist, pv, order);
+  LPTSP_ENSURE(is_valid_labeling(graph, dist, pv, result.labeling),
+               "Corollary-2 witness labeling invalid");
+  LPTSP_ENSURE(result.labeling.span() <= result.span,
+               "witness span exceeds the Corollary-2 value");
   return result;
 }
 

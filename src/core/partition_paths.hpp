@@ -39,7 +39,7 @@ struct Diameter2Result {
   Weight span = 0;          ///< lambda_{p,q}(G) (exact solvers) or an upper bound
   int partition_size = 0;   ///< s = number of paths used
   bool used_complement = false;  ///< true when p > q (partition runs on the complement)
-  Labeling labeling;        ///< witness labeling (empty for CographDP)
+  Labeling labeling;        ///< witness labeling
 };
 
 /// Corollary 2: lambda_{p,q}(G) = (n-1)*min(p,q) + (max(p,q)-min(p,q))*(s*-1)

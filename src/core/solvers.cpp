@@ -66,6 +66,9 @@ PathSolution run_engine(const MetricInstance& instance, const SolveOptions& opti
       bb.node_limit = options.bb_node_limit;
       return branch_bound_path(instance, bb);
     }
+    case Engine::Cotree:
+      LPTSP_REQUIRE(false, "cotree is the structural tier for cographs, not a TSP engine");
+      break;
   }
   LPTSP_ENSURE(false, "unhandled engine");
   return {};

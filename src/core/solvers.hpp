@@ -27,11 +27,15 @@ enum class Engine {
   ChainedLK,          ///< kicked multi-start LK-style (strongest heuristic)
   SimulatedAnnealing, ///< 2-opt annealing + VND polish
   BranchBound,        ///< exact DFS + MST bound (O(n) memory), exact
+  /// Not a TSP engine: the structural tier that answers connected cographs
+  /// by Corollary 2 (cograph_optimal_labeling), exact. It only ever names
+  /// a BatchSolver answer; run_engine rejects it as a precondition.
+  Cotree,
 };
 
 /// The highest Engine value. Decoders of persisted and wire engine bytes
 /// reject anything above it; a new engine goes last and moves this.
-constexpr std::uint8_t kLastEngine = static_cast<std::uint8_t>(Engine::BranchBound);
+constexpr std::uint8_t kLastEngine = static_cast<std::uint8_t>(Engine::Cotree);
 
 /// Compile-checked engine names. The switch has no default and the project
 /// builds with -Werror=switch, so adding an Engine value without a name
@@ -49,6 +53,7 @@ constexpr const char* engine_name_cstr(Engine engine) noexcept {
     case Engine::ChainedLK: return "chained-lk";
     case Engine::SimulatedAnnealing: return "annealing";
     case Engine::BranchBound: return "branch-bound";
+    case Engine::Cotree: return "cotree";
   }
   return "unknown";  // out-of-range cast, not a missing enumerator
 }

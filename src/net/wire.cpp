@@ -343,6 +343,9 @@ void encode_request_traced(std::vector<std::uint8_t>& out, const SolveRequest& r
   // length disagrees with its payload would poison the whole pipelined
   // connection server-side, so refuse locally with a clear error.
   LPTSP_REQUIRE(request.p.k() <= 255, "wire format carries at most 255 p-vector entries");
+  LPTSP_REQUIRE(version >= kCotreeEngineMinVersion || request.engine != Engine::Cotree,
+                "the cotree engine needs protocol version 5 (connection negotiated v" +
+                    std::to_string(version) + ")");
   // A v1-v3 server's decoder rejects flag values above 1, so the trace
   // context (bits + trailing u64) is only emitted on v4+ connections.
   const bool carry_trace = version >= kTraceContextMinVersion && trace_id != 0;
@@ -381,7 +384,10 @@ void encode_response(std::vector<std::uint8_t>& out, const SolveResponse& respon
   put_u64(out, response.id);
   put_u8(out, static_cast<std::uint8_t>(response.status));
   put_u8(out, static_cast<std::uint8_t>(response.source));
-  put_u8(out, static_cast<std::uint8_t>(response.engine));
+  const Engine engine = response.engine == Engine::Cotree && version < kCotreeEngineMinVersion
+                            ? Engine::HeldKarp
+                            : response.engine;
+  put_u8(out, static_cast<std::uint8_t>(engine));
   put_u8(out, static_cast<std::uint8_t>((response.optimal ? kResponseOptimalBit : 0) |
                                         (response.reduction_cached
                                              ? kResponseReductionCachedBit

@@ -34,12 +34,13 @@ inline constexpr std::uint32_t kWireMagic = 0x5354504CU;
 /// format; still within v4, StatsRequest grew an optional trailing u64
 /// `since` cursor (incremental journal scrapes) and the Profile stats
 /// format — both additive, both rejected cleanly by older servers as
-/// malformed/unknown rather than misread. Every older frame is
-/// bit-identical in v4, so the handshake
-/// negotiates downward: the server accepts any version in
-/// [kWireMinVersion, kWireVersion] and acks with the client's (lower)
-/// version, on which the newer frames/fields are suppressed.
-inline constexpr std::uint16_t kWireVersion = 4;
+/// malformed/unknown rather than misread. v5 added the `cotree` engine
+/// byte (Engine::Cotree) on Request pins and Response frames, which the
+/// encoders never send below v5. Every older frame is bit-identical in
+/// v5, so the handshake negotiates downward: the server accepts any
+/// version in [kWireMinVersion, kWireVersion] and acks with the client's
+/// (lower) version, on which the newer frames/fields are suppressed.
+inline constexpr std::uint16_t kWireVersion = 5;
 inline constexpr std::uint16_t kWireMinVersion = 1;
 /// First protocol version carrying StatsRequest/StatsReply.
 inline constexpr std::uint16_t kStatsMinVersion = 2;
@@ -49,6 +50,12 @@ inline constexpr std::uint16_t kRetryAfterMinVersion = 3;
 /// First protocol version carrying trace context on Requests, the
 /// server-timing echo on Responses, and the Journal stats format.
 inline constexpr std::uint16_t kTraceContextMinVersion = 4;
+/// First protocol version whose engine byte may name Engine::Cotree. An
+/// older decoder rejects any engine byte above BranchBound as malformed
+/// (and its client then drops the whole connection), so a Cotree answer
+/// goes to an older peer as the exact HeldKarp byte, and a request pinning
+/// Cotree cannot be sent to an older server.
+inline constexpr std::uint16_t kCotreeEngineMinVersion = 5;
 
 enum class MessageType : std::uint8_t {
   Hello = 1,         ///< client -> server: magic + version
@@ -167,7 +174,9 @@ void encode_hello_ack(std::vector<std::uint8_t>& out, std::uint16_t version = kW
 /// `version` is the NEGOTIATED connection version: a v1-v3 server's
 /// decoder rejects unknown request flag bits, so the trace context (flag
 /// bits + trailing u64 id) is only emitted when the connection speaks
-/// v4+ (and the request carries a nonzero trace id).
+/// v4+ (and the request carries a nonzero trace id). Pinning
+/// Engine::Cotree below v5 is a precondition_error: no older server has
+/// the tier, and its decoder would reject the frame.
 void encode_request(std::vector<std::uint8_t>& out, const SolveRequest& request,
                     std::uint16_t version = kWireVersion);
 /// Same frame, but with the trace context supplied out of band instead of
@@ -179,7 +188,9 @@ void encode_request_traced(std::vector<std::uint8_t>& out, const SolveRequest& r
 /// `version` is the NEGOTIATED connection version: a v1/v2 peer's decoder
 /// rejects unknown flag bits, so the retry-after hint is only emitted when
 /// the connection speaks v3+ (and the hint is nonzero), and the
-/// server-timing echo only on v4+ (when measured).
+/// server-timing echo only on v4+ (when measured). Below v5 an
+/// Engine::Cotree answer carries the HeldKarp byte: both are exact, and
+/// an older decoder knows no engine byte past BranchBound.
 void encode_response(std::vector<std::uint8_t>& out, const SolveResponse& response,
                      std::uint16_t version = kWireVersion);
 void encode_error(std::vector<std::uint8_t>& out, std::uint64_t id, WireFault fault,

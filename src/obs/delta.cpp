@@ -246,7 +246,6 @@ std::optional<MetricsSnapshot> parse_prometheus(const std::string& text) {
     }
 
     // Histogram series? Match the longest declared histogram base name.
-    const MetricsSnapshot::HistogramValue* existing = nullptr;
     std::string base;
     std::string suffix;
     for (const auto& [declared, kind] : kinds) {

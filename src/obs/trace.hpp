@@ -32,6 +32,7 @@ enum class Stage : std::uint8_t {
   Verify,         ///< labeling reconstruction + validity check
   StoreWrite,     ///< cache insert + durable write-through
   CoalescedWait,  ///< joined an identical in-flight solve
+  Structural,     ///< structural tier (cotree) answered the request
   // Client-side stages (LabelingClient): one joined trace spans both
   // processes when the wire carries the trace context (protocol v4+).
   ClientConnect,      ///< TCP connect + Hello/HelloAck handshake
@@ -58,6 +59,7 @@ constexpr const char* stage_name(Stage stage) noexcept {
     case Stage::Verify: return "verify";
     case Stage::StoreWrite: return "store-write";
     case Stage::CoalescedWait: return "coalesced-wait";
+    case Stage::Structural: return "structural";
     case Stage::ClientConnect: return "client-connect";
     case Stage::ClientSerialize: return "client-serialize";
     case Stage::ClientSend: return "client-send";

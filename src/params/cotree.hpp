@@ -25,9 +25,11 @@ struct Cotree {
   [[nodiscard]] const Node& node(int id) const { return nodes[static_cast<std::size_t>(id)]; }
 };
 
-/// Build the cotree by recursive component / co-component splitting;
-/// returns nullopt when the graph is not a cograph (some induced subgraph
-/// is both connected and co-connected with >= 2 vertices).
+/// Build the cotree by recursive component / co-component splitting,
+/// searched directly on the adjacency bit rows (no per-node subgraph or
+/// complement copies); returns nullopt when the graph is not a cograph
+/// (some induced subgraph is both connected and co-connected with >= 2
+/// vertices).
 std::optional<Cotree> build_cotree(const Graph& graph);
 
 /// Cograph test (P4-free).

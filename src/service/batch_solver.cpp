@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/cograph_paths.hpp"
 #include "core/order_labeling.hpp"
 #include "core/reduction.hpp"
 #include "graph/operations.hpp"
@@ -83,6 +84,7 @@ void BatchSolver::register_metrics() {
   registry_.register_counter("engine_solves", &engine_solves_, this);
   registry_.register_counter("rejected_overload", &rejected_overload_, this);
   registry_.register_counter("rejected_work_priced", &rejected_work_priced_, this);
+  registry_.register_counter("races_skipped_structural", &races_skipped_structural_, this);
   registry_.register_gauge(
       "pending_requests", [this] { return static_cast<std::int64_t>(pending_requests()); }, this);
   registry_.register_gauge(
@@ -102,6 +104,7 @@ void BatchSolver::register_metrics() {
   registry_.register_histogram("verify_ns", &verify_ns_, this);
   registry_.register_histogram("store_put_ns", &store_put_ns_, this);
   registry_.register_histogram("coalesced_wait_ns", &coalesced_wait_ns_, this);
+  registry_.register_histogram("structural_ns", &structural_ns_, this);
   cache_.register_metrics(registry_);
   portfolio_.register_metrics(registry_);
   tuner_.register_metrics(registry_, this);
@@ -205,6 +208,13 @@ BatchSolver::CanonicalOutcome BatchSolver::solve_canonical(
     return out;
   }
 
+  // Cotree is the structural tier, not a TSP engine: a request pinning it
+  // got here because the tier declined the graph, so no engine runs.
+  if (engine == Engine::Cotree) {
+    out.status = SolveStatus::EngineFailure;
+    out.message = "the cotree tier answers connected cographs only";
+    return out;
+  }
   MetricInstance instance = instance_from_distances(reduction->dist, p);
   engine_solves_.add();
 
@@ -399,6 +409,55 @@ SolveResponse BatchSolver::solve_one(const SolveRequest& request) {
   return solve_one_timed(request, 0);
 }
 
+std::uint64_t BatchSolver::start_trace(obs::Trace& trace, const SolveRequest& request,
+                                       std::uint64_t enqueued_ns) {
+  trace.request_id = request.id;
+  // Adopt the client's trace context (v4 wire): the ring then holds the
+  // server half of a joined cross-process trace, and a sampled id bypasses
+  // the slow threshold so the client's ask is honored.
+  trace.trace_id = request.trace_id;
+  trace.sampled = request.trace_sampled;
+  trace.spans.reserve(8);
+  const std::uint64_t now = obs::steady_now_ns();
+  // The trace origin is the ADMISSION time when the request was queued:
+  // queue wait is part of what the caller experienced, so it belongs in
+  // total_ns (and in the slow-trace threshold).
+  trace.origin_ns = enqueued_ns != 0 && enqueued_ns < now ? enqueued_ns : now;
+  const std::uint64_t queue_ns = now - trace.origin_ns;
+  if (queue_ns != 0) {
+    trace.spans.push_back({obs::Stage::QueueWait, nullptr, 0, queue_ns, false, false});
+  }
+  return queue_ns;
+}
+
+std::optional<SolveResponse> BatchSolver::solve_structural(const SolveRequest& request,
+                                                           obs::Trace* trace) {
+  if (request.engine.has_value() && *request.engine != Engine::Cotree) return std::nullopt;
+  const std::uint64_t begin = trace != nullptr ? obs::steady_now_ns() : 0;
+  std::optional<Labeling> labeling = cograph_optimal_labeling(request.graph, request.p);
+  if (!labeling) return std::nullopt;
+  if (trace != nullptr) {
+    trace->spans.push_back({obs::Stage::Structural, nullptr, begin - trace->origin_ns,
+                            obs::steady_now_ns() - begin, false, false});
+  }
+  races_skipped_structural_.add();
+  // Same budget rule as solve_canonical: pinned requests are unlimited.
+  const std::int64_t budget_ms =
+      request.engine.has_value() ? 0
+      : request.deadline.count() > 0 ? request.deadline.count()
+                                      : options_.portfolio.deadline.count();
+  if (options_.profile && budget_ms > 0) slo_.record_cache_hit(budget_ms);
+  SolveResponse response;
+  response.id = request.id;
+  response.status = SolveStatus::Ok;
+  response.span = labeling->span();
+  response.labeling = std::move(*labeling);
+  response.optimal = true;
+  response.engine = Engine::Cotree;
+  response.source = ResponseSource::Solved;
+  return response;
+}
+
 SolveResponse BatchSolver::solve_one_timed(const SolveRequest& request,
                                            std::uint64_t enqueued_ns) {
   const Timer timer;
@@ -408,32 +467,22 @@ SolveResponse BatchSolver::solve_one_timed(const SolveRequest& request,
   std::uint64_t queue_ns = 0;
   if (options_.metrics) {
     tp = &trace;
-    trace.request_id = request.id;
-    // Adopt the client's trace context (v4 wire): the ring then holds
-    // the server half of a joined cross-process trace, and a sampled id
-    // bypasses the slow threshold so the client's ask is honored.
-    trace.trace_id = request.trace_id;
-    trace.sampled = request.trace_sampled;
-    trace.spans.reserve(8);
-    const std::uint64_t now = obs::steady_now_ns();
-    // The trace origin is the ADMISSION time when the request was queued:
-    // queue wait is part of what the caller experienced, so it belongs in
-    // total_ns (and in the slow-trace threshold).
-    trace.origin_ns = enqueued_ns != 0 && enqueued_ns < now ? enqueued_ns : now;
-    if (trace.origin_ns != now) {
-      queue_ns = now - trace.origin_ns;
-      trace.spans.push_back({obs::Stage::QueueWait, nullptr, 0, queue_ns, false, false});
+    queue_ns = start_trace(trace, request, enqueued_ns);
+  }
+  SolveResponse response;
+  if (auto structural = solve_structural(request, tp)) {
+    response = std::move(*structural);
+    response.seconds = timer.seconds();
+  } else {
+    CanonicalForm form;
+    {
+      const obs::SpanScope span(tp, obs::Stage::Canonicalize);
+      form = canonical_form(request.graph, options_.canonical);
     }
+    const CanonicalOutcome outcome = solve_canonical_coalesced(
+        request.graph, form, request.p, request.engine, request.deadline, tp);
+    response = respond(request, form, outcome, ResponseSource::Solved, timer.seconds());
   }
-  CanonicalForm form;
-  {
-    const obs::SpanScope span(tp, obs::Stage::Canonicalize);
-    form = canonical_form(request.graph, options_.canonical);
-  }
-  const CanonicalOutcome outcome = solve_canonical_coalesced(request.graph, form, request.p,
-                                                             request.engine, request.deadline, tp);
-  SolveResponse response =
-      respond(request, form, outcome, ResponseSource::Solved, timer.seconds());
   if (tp != nullptr) {
     // Echo the split the client cannot see: how long its request sat in
     // the queue vs how long the pipeline worked on it. Carried on v4+
@@ -465,6 +514,7 @@ void BatchSolver::finish_trace(obs::Trace&& trace, const char* result) {
       case obs::Stage::Verify: verify_ns_.record(span.duration_ns); break;
       case obs::Stage::StoreWrite: store_put_ns_.record(span.duration_ns); break;
       case obs::Stage::CoalescedWait: coalesced_wait_ns_.record(span.duration_ns); break;
+      case obs::Stage::Structural: structural_ns_.record(span.duration_ns); break;
       // Client-side stages never appear in server-built traces; routing
       // them nowhere (rather than a default) keeps the switch exhaustive.
       case obs::Stage::ClientConnect:
@@ -602,16 +652,36 @@ std::vector<SolveResponse> BatchSolver::solve_batch(const std::vector<SolveReque
   if (count == 0) return responses;
   requests_total_.add(count);
 
-  // Stage 1: canonicalize every request in parallel — this is the
-  // order-insensitive identity the dedupe below groups on.
+  // Stage 1: answer what the structural tier can (each such request is
+  // solved on its own: no grouping, cache or coalescing), and canonicalize
+  // the rest in parallel — the order-insensitive identity the dedupe below
+  // groups on.
   std::vector<CanonicalForm> forms(count);
+  std::vector<char> structural(count, 0);
   {
     std::vector<std::future<void>> canonical_tasks;
     canonical_tasks.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      canonical_tasks.push_back(request_pool_.submit([this, &requests, &forms, i] {
-        forms[i] = canonical_form(requests[i].graph, options_.canonical);
-      }));
+      canonical_tasks.push_back(
+          request_pool_.submit([this, &requests, &forms, &structural, &responses, i] {
+            const Timer timer;
+            obs::Trace trace;
+            obs::Trace* tp = nullptr;
+            if (options_.metrics) {
+              tp = &trace;
+              start_trace(trace, requests[i], 0);
+            }
+            if (auto response = solve_structural(requests[i], tp)) {
+              responses[i] = std::move(*response);
+              responses[i].seconds = timer.seconds();
+              structural[i] = 1;
+              if (tp != nullptr) {
+                finish_trace(std::move(trace), response_source_name_cstr(ResponseSource::Solved));
+              }
+              return;
+            }
+            forms[i] = canonical_form(requests[i].graph, options_.canonical);
+          }));
     }
     join_all(canonical_tasks);
   }
@@ -625,6 +695,7 @@ std::vector<SolveResponse> BatchSolver::solve_batch(const std::vector<SolveReque
   std::unordered_map<std::string, std::size_t> group_of;
   std::vector<Group> groups;
   for (std::size_t i = 0; i < count; ++i) {
+    if (structural[i] != 0) continue;
     std::string key;
     if (forms[i].exact) {
       key = result_key(forms[i], requests[i].p);
@@ -665,16 +736,7 @@ std::vector<SolveResponse> BatchSolver::solve_batch(const std::vector<SolveReque
       obs::Trace* tp = nullptr;
       if (options_.metrics) {
         tp = &trace;
-        trace.request_id = requests[leader].id;
-        trace.trace_id = requests[leader].trace_id;
-        trace.sampled = requests[leader].trace_sampled;
-        trace.spans.reserve(8);
-        const std::uint64_t now = obs::steady_now_ns();
-        trace.origin_ns = enqueued_ns != 0 && enqueued_ns < now ? enqueued_ns : now;
-        if (trace.origin_ns != now) {
-          trace.spans.push_back({obs::Stage::QueueWait, nullptr, 0, now - trace.origin_ns, false,
-                                 false});
-        }
+        start_trace(trace, requests[leader], enqueued_ns);
       }
       // The group shares one solve; give it the most generous budget any
       // member asked for. A member on the service default counts as the

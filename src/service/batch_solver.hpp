@@ -7,6 +7,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,6 +27,11 @@ namespace lptsp {
 /// `solve_labeling` grown into a serving layer.
 ///
 /// Pipeline per request:
+///   0. structural tier — a connected cograph is answered optimally by the
+///      Corollary-2 cotree construction (cograph_optimal_labeling) before
+///      anything else: for this class a linear-time solve is cheaper than
+///      the cache key. No cache, store or coalescing; any other graph (and
+///      any request pinning a TSP engine) goes on to step 1 unchanged;
 ///   1. canonicalize the graph (WL refinement) — order-insensitive, so
 ///      isomorphic relabelings of the same instance share one identity;
 ///   2. result cache probe — a hit skips reduction AND engine, only a
@@ -244,6 +250,21 @@ class BatchSolver {
   /// queue wait is part of the recorded end-to-end latency.
   SolveResponse solve_one_timed(const SolveRequest& request, std::uint64_t enqueued_ns);
 
+  /// Step 0, the structural tier, for an unpinned request or one pinning
+  /// Engine::Cotree: an Ok, optimal, engine=Cotree answer when
+  /// cograph_optimal_labeling accepts the graph, nullopt otherwise (the
+  /// caller runs the full pipeline). An answer records a Structural span
+  /// and counts as a met deadline, as a cache hit does. The caller stamps
+  /// `seconds`.
+  std::optional<SolveResponse> solve_structural(const SolveRequest& request, obs::Trace* trace);
+
+  /// Start `trace` for `request` (metrics on only): adopt the client's
+  /// trace context and set the origin to the admission time `enqueued_ns`
+  /// (0 = not queued), recording the queue wait as a span. Returns the
+  /// queue wait in ns.
+  static std::uint64_t start_trace(obs::Trace& trace, const SolveRequest& request,
+                                   std::uint64_t enqueued_ns);
+
   /// Stamp total/result, feed the per-stage histograms, hand the trace to
   /// the slow ring. Only called when metrics are on.
   void finish_trace(obs::Trace&& trace, const char* result);
@@ -287,6 +308,7 @@ class BatchSolver {
   obs::Counter engine_solves_;
   obs::Counter rejected_overload_;
   obs::Counter rejected_work_priced_;
+  obs::Counter races_skipped_structural_;
   /// Predicted ns admitted but not finished (see pending_work_ns()).
   std::atomic<std::uint64_t> pending_work_ns_{0};
   // Per-stage latency histograms, fed from completed traces (metrics on
@@ -300,6 +322,7 @@ class BatchSolver {
   obs::LatencyHistogram verify_ns_;
   obs::LatencyHistogram store_put_ns_;
   obs::LatencyHistogram coalesced_wait_ns_;
+  obs::LatencyHistogram structural_ns_;
   // Work-attribution profiling (Options::profile): which canonical graphs
   // eat the engine time, and how the per-request deadlines fared.
   obs::KeyProfileTable key_profile_;

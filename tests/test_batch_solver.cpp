@@ -5,10 +5,14 @@
 #include <vector>
 
 #include "core/labeling.hpp"
+#include "core/solvers.hpp"
 #include "graph/generators.hpp"
 #include "graph/operations.hpp"
+#include "graph/properties.hpp"
 #include "service/batch_solver.hpp"
 #include "util/rng.hpp"
+
+#include "cograph_testing.hpp"
 
 namespace lptsp {
 namespace {
@@ -243,6 +247,149 @@ TEST(BatchSolver, PriorityBatchesStillAnswerEveryone) {
     EXPECT_EQ(responses[i].id, requests[i].id);
     EXPECT_TRUE(is_valid_labeling(requests[i].graph, requests[i].p, responses[i].labeling));
   }
+}
+
+// --- The structural tier (step 0): connected cographs -----------------
+
+std::uint64_t histogram_count(BatchSolver& solver, const std::string& name) {
+  const obs::MetricsSnapshot snap = solver.metrics_registry().snapshot();
+  const obs::HistogramSnapshot* histogram = snap.histogram(name);
+  return histogram == nullptr ? 0 : histogram->count;
+}
+
+std::uint64_t counter(BatchSolver& solver, const std::string& name) {
+  return solver.metrics_registry().snapshot().counter_or(name);
+}
+
+TEST(BatchSolver, UnpinnedCographIsAnsweredByTheCotreeTier) {
+  BatchSolver::Options options = fast_options();
+  options.portfolio.deadline = std::chrono::milliseconds{40};
+  BatchSolver solver(options);
+  Rng rng(61);
+  const Graph graph = connected_cograph(12, rng);
+  SolveRequest request;
+  request.graph = graph;
+  request.p = PVec::L21();
+  SolveOptions held_karp;
+  held_karp.engine = Engine::HeldKarp;
+  const Weight optimum = solve_labeling(graph, PVec::L21(), held_karp).span;
+
+  // Twice: the tier uses no cache, so the repeat is answered the same way.
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    request.id = id;
+    const SolveResponse response = solver.solve_one(request);
+    ASSERT_TRUE(response.ok()) << response.message;
+    EXPECT_EQ(response.id, id);
+    EXPECT_EQ(response.engine, Engine::Cotree);
+    EXPECT_TRUE(response.optimal);
+    EXPECT_EQ(response.source, ResponseSource::Solved);
+    EXPECT_EQ(response.span, optimum);
+    EXPECT_EQ(response.labeling.span(), response.span);
+    EXPECT_TRUE(is_valid_labeling(graph, PVec::L21(), response.labeling));
+  }
+  EXPECT_EQ(solver.engine_solves(), 0u);
+  EXPECT_EQ(solver.cache().size(), 0u);
+  EXPECT_EQ(counter(solver, "races_skipped_structural"), 2u);
+  EXPECT_EQ(histogram_count(solver, "structural_ns"), 2u);
+  EXPECT_EQ(histogram_count(solver, "canonical_ns"), 0u);
+  EXPECT_EQ(histogram_count(solver, "engine_race_ns"), 0u);
+  // A deadline-bounded tier answer met its deadline, as a cache hit does.
+  EXPECT_EQ(solver.slo().hits(), 2u);
+  EXPECT_EQ(solver.slo().misses(), 0u);
+}
+
+TEST(BatchSolver, PinnedCographStillRaces) {
+  BatchSolver solver(fast_options());
+  Rng rng(62);
+  SolveRequest request;
+  request.graph = connected_cograph(12, rng);
+  request.p = PVec::L21();
+  request.engine = Engine::BranchBound;
+  const SolveResponse response = solver.solve_one(request);
+  ASSERT_TRUE(response.ok()) << response.message;
+  EXPECT_EQ(response.engine, Engine::BranchBound);
+  EXPECT_EQ(solver.engine_solves(), 1u);
+  EXPECT_EQ(counter(solver, "races_skipped_structural"), 0u);
+  EXPECT_EQ(histogram_count(solver, "canonical_ns"), 1u);
+  EXPECT_EQ(histogram_count(solver, "structural_ns"), 0u);
+}
+
+TEST(BatchSolver, PinningCotreeAnswersCographsAndTypesEverythingElse) {
+  BatchSolver solver(fast_options());
+  Rng rng(63);
+  SolveRequest request;
+  request.p = PVec::L21();
+  request.engine = Engine::Cotree;
+
+  request.graph = connected_cograph(20, rng);
+  const SolveResponse cograph = solver.solve_one(request);
+  ASSERT_TRUE(cograph.ok()) << cograph.message;
+  EXPECT_EQ(cograph.engine, Engine::Cotree);
+  EXPECT_TRUE(cograph.optimal);
+
+  // Declined by the tier: the pipeline classifies it, then types it as an
+  // engine failure without running (or counting) an engine.
+  request.graph = random_with_diameter_at_most(14, 2, 0.3, rng);
+  const SolveResponse other = solver.solve_one(request);
+  EXPECT_EQ(other.status, SolveStatus::EngineFailure);
+  EXPECT_FALSE(other.message.empty());
+  EXPECT_EQ(counter(solver, "races_skipped_structural"), 1u);
+  EXPECT_EQ(solver.engine_solves(), 0u);
+
+  // A disconnected graph pinned to Cotree still gets the pipeline's status.
+  request.graph = disjoint_union(complete_graph(3), complete_graph(3));
+  EXPECT_EQ(solver.solve_one(request).status, SolveStatus::Disconnected);
+}
+
+TEST(BatchSolver, TypedStatusesOfCographsStillComeFromThePipeline) {
+  BatchSolver solver(fast_options());
+  SolveRequest request;
+  request.graph = disjoint_union(complete_graph(4), star_graph(4));
+  request.p = PVec::L21();
+  EXPECT_EQ(solver.solve_one(request).status, SolveStatus::Disconnected);
+
+  request.graph = star_graph(6);
+  request.p = PVec({3, 1});
+  EXPECT_EQ(solver.solve_one(request).status, SolveStatus::MetricConditionViolated);
+
+  request.graph = complete_bipartite(3, 4);
+  request.p = PVec({2});
+  EXPECT_EQ(solver.solve_one(request).status, SolveStatus::DiameterExceedsK);
+
+  EXPECT_EQ(counter(solver, "races_skipped_structural"), 0u);
+  EXPECT_EQ(solver.engine_solves(), 0u);
+}
+
+TEST(BatchSolver, BatchAnswersCographsInStageOneAndDedupesTheRest) {
+  BatchSolver solver(fast_options());
+  Rng rng(64);
+  const Graph cograph = connected_cograph(16, rng);
+  const Graph other = random_with_diameter_at_most(16, 2, 0.3, rng);
+  std::vector<SolveRequest> requests;
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    const Graph& base = id % 2 == 0 ? cograph : other;
+    SolveRequest request;
+    request.graph = relabel(base, rng.permutation(base.n()));
+    request.p = PVec::L21();
+    request.id = id;
+    requests.push_back(std::move(request));
+  }
+  const std::vector<SolveResponse> responses = solver.solve_batch(requests);
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].message;
+    EXPECT_EQ(responses[i].id, requests[i].id);
+    EXPECT_TRUE(is_valid_labeling(requests[i].graph, PVec::L21(), responses[i].labeling));
+    if (i % 2 == 0) {
+      EXPECT_EQ(responses[i].engine, Engine::Cotree);
+      EXPECT_EQ(responses[i].source, ResponseSource::Solved);  // no grouping
+      EXPECT_EQ(responses[i].span, responses[0].span);
+    } else {
+      EXPECT_NE(responses[i].engine, Engine::Cotree);
+    }
+  }
+  EXPECT_EQ(solver.engine_solves(), 1u);  // the four ER relabelings share one solve
+  EXPECT_EQ(counter(solver, "races_skipped_structural"), 4u);
+  EXPECT_EQ(histogram_count(solver, "structural_ns"), 4u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "net/server.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace lptsp {
@@ -321,6 +323,10 @@ TEST_F(NetServerTest, SolverLevelAdmissionControlAnswersTyped) {
   LabelingClient client;
   client.connect("127.0.0.1", server_->port());
   Rng rng(13);
+  // Hold the only worker: stall the first race so request 1 still occupies
+  // the admission slot when the rest of the burst arrives (an unstalled
+  // solve can finish before request 2 is read off the socket).
+  fault::arm(FaultSite::EngineStall, 1.0, 13, /*max_fires=*/1, /*param=*/400);
   constexpr std::uint64_t kBurst = 5;
   for (std::uint64_t id = 1; id <= kBurst; ++id) {
     client.submit(request_for(random_with_diameter_at_most(40, 2, 0.2, rng), id));
@@ -332,6 +338,7 @@ TEST_F(NetServerTest, SolverLevelAdmissionControlAnswersTyped) {
   }
   EXPECT_GE(rejected, 1u);
   EXPECT_GE(solver_->rejected_overload(), rejected);
+  fault::disarm(FaultSite::EngineStall);
   client.shutdown();
 }
 
@@ -537,6 +544,43 @@ TEST_F(NetServerTest, V3ClientsNeverSeeTraceContext) {
   // And the response carries no v4 server-timing echo for this peer.
   EXPECT_EQ(result.message.response.server_queue_ns, 0u);
   EXPECT_EQ(result.message.response.server_service_ns, 0u);
+}
+
+TEST_F(NetServerTest, V4ClientsGetACotreeAnswerTheyCanDecode) {
+  // A connected cograph is answered by the structural tier (Engine::Cotree,
+  // a v5 engine byte). A v4 peer's decoder rejects any engine byte past
+  // BranchBound and drops the connection, so it must get an engine byte it
+  // knows, on every pipelined response.
+  start();
+  RawSocket raw(server_->port());
+  std::vector<std::uint8_t> bytes;
+  encode_hello(bytes, 4);
+  encode_request(bytes, request_for(complete_graph(6), 91), 4);
+  encode_request(bytes, request_for(complete_bipartite(3, 4), 92), 4);
+  raw.send(bytes);
+  raw.shutdown_write();
+  const std::vector<std::uint8_t> reply = raw.read_to_eof();
+  FrameReader reader;
+  reader.feed(reply.data(), reply.size());
+  DecodeResult result;
+  ASSERT_TRUE(reader.next(result));
+  ASSERT_EQ(result.message.type, MessageType::HelloAck);
+  EXPECT_EQ(result.message.version, 4u);
+  std::vector<std::uint64_t> ids;
+  while (reader.next(result)) {
+    ASSERT_TRUE(result.ok()) << result.detail;
+    ASSERT_EQ(result.message.type, MessageType::Response);
+    const SolveResponse& response = result.message.response;
+    EXPECT_TRUE(response.ok()) << response.message;
+    EXPECT_TRUE(response.optimal);
+    EXPECT_LE(response.engine, Engine::BranchBound);
+    ids.push_back(response.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{91, 92}));
+  // Both were tier answers, and the connection served both.
+  const obs::MetricsSnapshot snap = solver_->metrics_registry().snapshot();
+  EXPECT_EQ(snap.counter_or("races_skipped_structural"), 2u);
 }
 
 TEST_F(NetServerTest, WireFaultCountersTickByKind) {

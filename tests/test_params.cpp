@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include "core/cograph_paths.hpp"
 #include "graph/generators.hpp"
 #include "graph/operations.hpp"
+#include "graph/properties.hpp"
 #include "params/cotree.hpp"
 #include "params/modular_decomposition.hpp"
 #include "params/neighborhood_diversity.hpp"
 #include "util/rng.hpp"
+
+#include "cograph_testing.hpp"
 
 namespace lptsp {
 namespace {
@@ -155,6 +159,25 @@ TEST(Cotree, RejectsP4AndCycles) {
   EXPECT_FALSE(is_cograph(path_graph(4)));
   EXPECT_FALSE(is_cograph(cycle_graph(5)));
   EXPECT_FALSE(is_cograph(petersen_graph()));
+}
+
+TEST(Cotree, AcceptsExactlyTheP4FreeGraphsOnSixOrFewerVertices) {
+  int cographs = 0;
+  for (int n = 1; n <= 6; ++n) {
+    const std::uint64_t masks = std::uint64_t{1} << (n * (n - 1) / 2);
+    for (std::uint64_t mask = 0; mask < masks; ++mask) {
+      const Graph graph = graph_from_edge_mask(n, mask);
+      const bool cograph = !has_induced_p4(graph);
+      cographs += cograph ? 1 : 0;
+      ASSERT_EQ(build_cotree(graph).has_value(), cograph) << "n=" << n << " mask=" << mask;
+      // The structural tier answers exactly the connected cographs on two
+      // or more vertices.
+      ASSERT_EQ(cograph_optimal_labeling(graph, PVec::L21()).has_value(),
+                cograph && n >= 2 && is_connected(graph))
+          << "n=" << n << " mask=" << mask;
+    }
+  }
+  EXPECT_GT(cographs, 0);
 }
 
 TEST(Cotree, RootCoversAllAndChildrenPartition) {

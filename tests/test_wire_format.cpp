@@ -223,6 +223,48 @@ TEST(WireFormat, ServerTimingSuppressedForOlderPeers) {
   EXPECT_EQ(result.message.response.server_service_ns, 84000u);
 }
 
+/// A pre-v5 decoder rejects every engine byte past BranchBound, and its
+/// client then drops the whole connection, so the v5 `cotree` byte never
+/// reaches an older peer: a Cotree answer goes out as the exact HeldKarp
+/// byte, and a request pinning Cotree is refused before it is framed.
+TEST(WireFormat, CotreeEngineDowngradedForOlderPeers) {
+  SolveResponse response;
+  response.id = 22;
+  response.status = SolveStatus::Ok;
+  response.engine = Engine::Cotree;
+  response.optimal = true;
+  for (std::uint16_t version = kWireMinVersion; version < kCotreeEngineMinVersion; ++version) {
+    std::vector<std::uint8_t> bytes;
+    encode_response(bytes, response, version);
+    const DecodeResult result = decode_one(bytes);
+    ASSERT_TRUE(result.ok()) << result.detail << " (version " << version << ")";
+    EXPECT_EQ(result.message.response.engine, Engine::HeldKarp);
+    EXPECT_LE(result.message.response.engine, Engine::BranchBound);
+    EXPECT_TRUE(result.message.response.optimal);
+  }
+  std::vector<std::uint8_t> bytes;
+  encode_response(bytes, response, kWireVersion);
+  DecodeResult result = decode_one(bytes);
+  ASSERT_TRUE(result.ok()) << result.detail;
+  EXPECT_EQ(result.message.response.engine, Engine::Cotree);
+
+  SolveRequest request;
+  request.graph = complete_graph(4);
+  request.p = PVec::L21();
+  request.id = 23;
+  request.engine = Engine::Cotree;
+  for (std::uint16_t version = kWireMinVersion; version < kCotreeEngineMinVersion; ++version) {
+    bytes.clear();
+    EXPECT_THROW(encode_request(bytes, request, version), precondition_error)
+        << "version " << version;
+  }
+  bytes.clear();
+  encode_request(bytes, request, kWireVersion);
+  result = decode_one(bytes);
+  ASSERT_TRUE(result.ok()) << result.detail;
+  EXPECT_EQ(result.message.request.engine, Engine::Cotree);
+}
+
 TEST(WireFormat, RequestFlagByteValidation) {
   SolveRequest request;
   request.graph = path_graph(3);

@@ -45,6 +45,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/operations.hpp"
+#include "graph/properties.hpp"
 #include "net/client.hpp"
 #include "net/wire.hpp"
 #include "obs/delta.hpp"
@@ -58,7 +59,8 @@ namespace {
 using namespace lptsp;
 
 /// Small L(2,1) instances mirroring the serving benchmark's repeat-heavy
-/// pattern: a few base graphs, most requests isomorphic relabelings.
+/// pattern: a few base graphs, most requests isomorphic relabelings, and
+/// ~10% connected cographs for the structural tier.
 std::vector<SolveRequest> make_drive_workload(int count, std::uint64_t seed) {
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 11);
   std::vector<Graph> bases;
@@ -69,9 +71,15 @@ std::vector<SolveRequest> make_drive_workload(int count, std::uint64_t seed) {
   requests.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     SolveRequest request;
-    if (rng.bernoulli(0.7)) {
+    const double u = rng.uniform01();
+    if (u < 0.7) {
       const Graph& base = bases[rng.uniform_index(bases.size())];
       request.graph = relabel(base, rng.permutation(base.n()));
+    } else if (u < 0.8) {
+      // Connected cographs: the structural tier answers these.
+      do {
+        request.graph = random_cograph(24, rng);
+      } while (!is_connected(request.graph));
     } else {
       request.graph = random_with_diameter_at_most(24, 2, 0.2, rng);
     }
